@@ -40,7 +40,7 @@ from .laws import (
     law_from_dict,
 )
 from .quadrature import dyadic_unit_integral
-from .quantiles import QuantileFunction, merge_sorted
+from .quantiles import QuantileFunction
 from .young import PowerYoung, YoungFunction, young_from_dict, _expect_keys
 
 __all__ = [
@@ -195,8 +195,21 @@ class ConvergenceTrace:
     mode: str
 
 
+def _integer_entries(values, key: str) -> tuple[int, ...]:
+    """Entries as ints; booleans and non-integral numbers are refused."""
+    out = []
+    for i, v in enumerate(values):
+        integral = isinstance(v, (int, np.integer)) or (
+            isinstance(v, (float, np.floating)) and float(v).is_integer()
+        )
+        if isinstance(v, bool) or not integral:
+            raise ValueError(f"{key} entry {v!r} at index {i} is not an integer")
+        out.append(int(v))
+    return tuple(out)
+
+
 def _check_schedule(schedule) -> tuple[int, ...]:
-    sched = tuple(int(N) for N in schedule)
+    sched = _integer_entries(schedule, "schedule")
     if len(sched) == 0 or sched[0] < 1 or any(b <= a for a, b in zip(sched, sched[1:])):
         raise ValueError("schedule must be strictly increasing positive integers")
     return sched
@@ -232,12 +245,8 @@ def run_convergence(
             estimates.append(choquet_empirical(draws, f))
     else:
         draws = sample(law, sched[-1], seed)
-        sorted_prefix = np.empty(0)
-        pos = 0
         for N in sched:
-            sorted_prefix = merge_sorted(sorted_prefix, np.sort(draws[pos:N]))
-            pos = N
-            estimates.append(float(np.dot(sorted_prefix, f.increments(N))))
+            estimates.append(float(np.dot(np.sort(draws[:N]), f.increments(N))))
     errors = tuple(abs(e - ref) for e in estimates)
     return ConvergenceTrace(
         schedule=sched,
@@ -296,7 +305,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "schedule", _check_schedule(self.schedule))
-        seeds = tuple(int(s) for s in self.seeds)
+        seeds = _integer_entries(self.seeds, "seeds")
         if len(seeds) == 0 or any(s < 0 for s in seeds) or len(set(seeds)) != len(seeds):
             raise ValueError("seeds must be distinct nonnegative integers")
         object.__setattr__(self, "seeds", seeds)

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .young import (
     ExpMinusYoung,
@@ -245,12 +244,18 @@ class Lognormal(ParametricLaw):
             raise ValueError("lognormal law needs finite mu and sigma > 0")
 
     def quantile(self, u):
+        # imported on first use: scipy.special would take most of the
+        # package's import time, and no other law needs it
+        from scipy.special import ndtri
+
         uu = _check_u(u)
         with np.errstate(divide="ignore"):
             out = np.exp(self.mu + self.sigma * ndtri(uu))
         return float(out) if np.ndim(u) == 0 else out
 
     def tail_quantile(self, t):
+        from scipy.special import ndtri
+
         tt = np.asarray(t, dtype=float)
         out = np.exp(self.mu - self.sigma * ndtri(tt))
         return float(out) if np.ndim(t) == 0 else out

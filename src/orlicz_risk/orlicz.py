@@ -3,12 +3,23 @@
 A length-n sample vector is read as a random variable on n equally weighted
 atoms. The Luxemburg norm for a Young function Phi is
 
-    ||xi||_Phi = inf{alpha > 0 : mean Phi(xi / alpha) <= 1},
+    ||xi||_Phi = inf{alpha > 0 : mean Phi(xi / alpha) <= 1}
 
-computed by bracketing and bisection on the monotone map
-alpha -> mean Phi(xi / alpha). The returned value sits on the feasible side
-of the infimum (mean <= 1 there), so Hoelder-type bounds built from it stay
-mathematically valid.
+(Rao & Ren, *Theory of Orlicz Spaces*, 1991, ch. 3). For the power family
+Phi(x) = |x|**p / p the infimum has the closed form (mean |xi|**p / p)**(1/p),
+evaluated relative to the largest atom so that it cannot overflow. Every other
+family is bracketed by doubling and halving alpha, then solved by Newton's
+method on t = log alpha -> log mean Phi(|xi| e**-t), whose slope
+-mean(u phi(u)) / mean Phi(u) at u = |xi| / alpha comes from the derivative
+phi; the map is exactly linear for power functions. A Newton step that would
+leave the bracket is replaced by bisection, and once the steps fall below a
+quarter of the tolerance the next point is placed just past the root, which
+closes the bracket.
+
+Either way the returned alpha is one at which mean Phi(xi / alpha) <= 1 holds
+as ``YoungFunction.value`` computes it, and (1 - tol) alpha is infeasible. The
+answer sits on the feasible side of the infimum, so Hoelder-type bounds built
+from it stay mathematically valid.
 """
 from __future__ import annotations
 
@@ -18,9 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quantiles import as_sample
-from .young import EvaluationRangeError, YoungFunction
+from .young import EvaluationRangeError, PowerYoung, YoungFunction
 
 __all__ = ["AndoProfile", "ando_profile", "luxemburg_norm", "pairing"]
+
+# Upward nudges of the power closed form when rounding leaves mean Phi just
+# above 1; each moves alpha by a few ulps.
+_CLOSED_FORM_NUDGES = 3
 
 
 def luxemburg_norm(xi, yf: YoungFunction, tol: float = 1e-10) -> float:
@@ -28,34 +43,75 @@ def luxemburg_norm(xi, yf: YoungFunction, tol: float = 1e-10) -> float:
     x = as_sample(xi)
     if not (0.0 < tol < 0.1):
         raise ValueError("tol must lie in (0, 0.1)")
-    peak = float(np.max(np.abs(x)))
+    ax = np.abs(x)
+    peak = float(np.max(ax))
     if peak == 0.0:
         return 0.0
+    u = np.empty_like(ax)
 
     def mean_phi(alpha: float) -> float:
+        np.divide(ax, alpha, out=u)
         try:
-            return float(np.mean(yf.value(x / alpha)))
+            return float(np.mean(yf.value(u)))
         except EvaluationRangeError:
             return math.inf
 
-    hi = peak
-    while mean_phi(hi) > 1.0:
-        hi *= 2.0
-    lo = hi
-    while mean_phi(lo) <= 1.0:
-        lo /= 2.0
-        if lo < 5e-324:
-            # all derivative mass is below the sample scale; treat as zero
-            return 0.0
+    if isinstance(yf, PowerYoung):
+        p = yf.p
+        alpha = peak * (float(np.mean((ax / peak) ** p)) / p) ** (1.0 / p)
+        if 0.0 < alpha < math.inf:
+            for k in range(_CLOSED_FORM_NUDGES + 1):
+                if mean_phi(alpha) <= 1.0:
+                    return alpha
+                alpha += (4 << k) * math.ulp(alpha)
+
+    # bracket: lo infeasible (mean Phi > 1), hi feasible
+    alpha, f = peak, mean_phi(peak)
+    if f > 1.0:
+        while f > 1.0:
+            lo = alpha
+            alpha *= 2.0
+            f = mean_phi(alpha)
+        hi, f_hi = alpha, f
+    else:
+        while f <= 1.0:
+            hi, f_hi = alpha, f
+            alpha /= 2.0
+            if alpha < 5e-324:
+                return hi  # subnormal peak: halving underflowed to zero
+            f = mean_phi(alpha)
+        lo = alpha
+
+    def log_newton_step(alpha: float, f: float) -> float:
+        if not 0.0 < f < math.inf:
+            return math.nan
+        np.divide(ax, alpha, out=u)
+        try:
+            slope = float(np.mean(u * yf.phi(u)))
+        except EvaluationRangeError:
+            return math.nan
+        if not 0.0 < slope < math.inf:
+            return math.nan
+        return f * math.log(f) / slope
+
+    alpha, f = hi, f_hi
     while hi - lo > tol * hi:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # subnormal scale: the interval is one ulp wide already
-        if mean_phi(mid) <= 1.0:
-            hi = mid
+        step = log_newton_step(alpha, f)
+        if abs(step) < 0.25 * tol:
+            # the root is within a quarter tolerance: step past it, away
+            # from the current end, so the next point closes the bracket
+            step += 0.25 * tol if f > 1.0 else -0.25 * tol
+        nxt = alpha * math.exp(step)
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:
+                break  # subnormal scale: the interval is one ulp wide already
+        alpha, f = nxt, mean_phi(nxt)
+        if f <= 1.0:
+            hi = alpha
         else:
-            lo = mid
-    return float(hi)
+            lo = alpha
+    return hi
 
 
 def pairing(xi, eta, yf: YoungFunction, tol: float = 1e-10) -> tuple[float, float]:

@@ -21,7 +21,6 @@ __all__ = [
     "empirical_from_sample",
     "kolmogorov_distance",
     "load_sample_csv",
-    "merge_sorted",
     "psi_moment",
 ]
 
@@ -95,23 +94,6 @@ def kolmogorov_distance(a: EmpiricalDistribution, b: EmpiricalDistribution) -> f
     """sup_x |F_a(x) - F_b(x)|, exact over the merged jump set."""
     jumps = np.unique(np.concatenate((a.values, b.values)))
     return float(np.max(np.abs(a.cdf(jumps) - b.cdf(jumps))))
-
-
-def merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Merge two nondecreasing arrays in linear time."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.size == 0:
-        return b.copy()
-    if b.size == 0:
-        return a.copy()
-    out = np.empty(a.size + b.size)
-    pos_b = np.searchsorted(a, b, side="right") + np.arange(b.size)
-    mask = np.ones(out.size, dtype=bool)
-    mask[pos_b] = False
-    out[pos_b] = b
-    out[mask] = a
-    return out
 
 
 class QuantileFunction:

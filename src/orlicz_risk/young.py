@@ -213,11 +213,14 @@ class TabulatedYoung(YoungFunction):
         ys = np.concatenate(([0.0], phi_values))
         self._xs = xs
         self._ys = ys
-        self._slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+        # slope of each segment starting at a knot; the last one extends
+        # the final segment beyond the grid
+        slopes = np.diff(ys) / np.diff(xs)
+        self._slopes = np.append(slopes, slopes[-1])
         self._cum = np.concatenate(
             ([0.0], np.cumsum(np.diff(xs) * (ys[1:] + ys[:-1]) / 2.0))
         )
-        for arr in (self._xs, self._ys, self._cum):
+        for arr in (self._xs, self._ys, self._slopes, self._cum):
             arr.setflags(write=False)
 
     @property
@@ -228,22 +231,21 @@ class TabulatedYoung(YoungFunction):
     def phi_values(self) -> np.ndarray:
         return self._ys[1:]
 
+    def _segment(self, ax):
+        """Knot index at or below each |x|, offset from it, and phi there."""
+        idx = np.searchsorted(self._xs, ax, side="right") - 1
+        dx = ax - self._xs[idx]
+        return idx, dx, self._ys[idx] + self._slopes[idx] * dx
+
     def phi(self, x):
         ax = np.abs(_as_finite_array(x))
-        inner = np.interp(ax, self._xs, self._ys)
-        out = np.where(
-            ax <= self._xs[-1],
-            inner,
-            self._ys[-1] + self._slope * (ax - self._xs[-1]),
-        )
+        _, _, out = self._segment(ax)
         return _shaped(_checked(out, "phi"), x)
 
     def value(self, x):
         ax = np.abs(_as_finite_array(x))
-        idx = np.searchsorted(self._xs, ax, side="right") - 1
-        idx = np.minimum(idx, self._xs.size - 1)
-        phi_ax = np.asarray(self.phi(ax))
-        out = self._cum[idx] + (ax - self._xs[idx]) * (self._ys[idx] + phi_ax) / 2.0
+        idx, dx, phi_ax = self._segment(ax)
+        out = self._cum[idx] + dx * (self._ys[idx] + phi_ax) / 2.0
         return _shaped(_checked(out, "Phi"), x)
 
     def conjugate(self) -> YoungFunction:

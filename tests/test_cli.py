@@ -221,6 +221,33 @@ def test_converge_infinite_mean_exits_3(capsys, tmp_path):
     assert "refused:" in err
 
 
+@pytest.mark.parametrize(
+    "overrides,message",
+    [
+        ({"schedule": [10.9, 100.5]}, "schedule entry 10.9 at index 0"),
+        ({"seeds": [True, 2.7]}, "seeds entry True at index 0"),
+    ],
+)
+def test_converge_non_integer_schedule_or_seeds_exit_2(capsys, tmp_path, overrides, message):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, **overrides)
+    outdir = tmp_path / "run"
+    code, _, err = run(capsys, "converge", str(cfg), "--out", str(outdir))
+    assert code == 2
+    assert message in err
+    assert not outdir.exists()
+
+
+def test_converge_accepts_integral_float_schedule(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, schedule=[200.0, 2e3], seeds=[0.0, 1])
+    code, _, _ = run(capsys, "converge", str(cfg), "--out", str(tmp_path / "run"))
+    assert code == 0
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert summary["schedule"] == [200, 2000]
+    assert summary["seeds"] == [0, 1]
+
+
 def test_converge_bad_config_exits_2(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     write_config(cfg, law={"family": "pareto", "tail": 3.0})

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -318,6 +319,33 @@ def test_config_rejects_malformed(mutate):
     mutate(d)
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "key,entries,bad",
+    [
+        ("schedule", [10.9, 100.5], "10.9"),
+        ("schedule", [100, 1000.5], "1000.5"),
+        ("schedule", [True, 100], "True"),
+        ("schedule", ["100", 1000], "'100'"),
+        ("seeds", [True, 2.7], "True"),
+        ("seeds", [0, 2.7], "2.7"),
+        ("seeds", [0, False], "False"),
+        ("seeds", [0, None], "None"),
+    ],
+)
+def test_config_rejects_non_integer_entries(key, entries, bad):
+    d = dict(BASE_CONFIG, **{key: entries})
+    with pytest.raises(ValueError, match=rf"{key} entry {re.escape(bad)} at index"):
+        ExperimentConfig.from_dict(d)
+
+
+def test_config_accepts_integral_numbers():
+    d = dict(BASE_CONFIG, schedule=[100.0, 1e3, np.int64(5000)], seeds=[0.0, np.int32(4)])
+    cfg = ExperimentConfig.from_dict(d)
+    assert cfg.schedule == (100, 1000, 5000)
+    assert cfg.seeds == (0, 4)
+    assert all(type(v) is int for v in cfg.schedule + cfg.seeds)
 
 
 def test_run_experiment_is_deterministic_and_seedwise():

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,3 +229,24 @@ def test_from_dict_rejects_malformed(d):
 def test_labels_are_compact_and_parameterized():
     assert Exponential(1.0).label() == "exponential(rate=1)"
     assert Pareto(3.0).label() == "pareto(tail=3,scale=1)"
+
+
+def test_package_import_leaves_scipy_special_unloaded():
+    import orlicz_risk
+
+    code = "import sys, orlicz_risk.cli; print('scipy.special' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(orlicz_risk.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_lognormal_quantiles_use_ndtri_bitwise():
+    from scipy.special import ndtri
+
+    law = Lognormal(0.3, 1.7)
+    u = np.concatenate((US, [0.0, 1e-300, 0.5 - 1e-17]))
+    t = np.concatenate((1.0 - US, [1e-300, 1e-17]))
+    assert np.array_equal(law.quantile(u), np.exp(0.3 + 1.7 * ndtri(u)))
+    assert np.array_equal(law.tail_quantile(t), np.exp(0.3 - 1.7 * ndtri(t)))

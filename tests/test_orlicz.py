@@ -8,7 +8,9 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import brentq
 
 from orlicz_risk import (
+    EvaluationRangeError,
     ExpMinusYoung,
+    LogPlusYoung,
     PowerYoung,
     TabulatedYoung,
     ando_profile,
@@ -135,6 +137,110 @@ def test_norm_input_validation():
         luxemburg_norm(np.ones((2, 2)), PowerYoung(2.0))
     with pytest.raises(ValueError):
         luxemburg_norm(np.ones(3), PowerYoung(2.0), tol=0.5)
+
+
+# ---------------------------------------------------------------------------
+# luxemburg_norm against a bisection oracle
+
+
+def mean_phi(x, yf, alpha):
+    try:
+        return float(np.mean(yf.value(x / alpha)))
+    except EvaluationRangeError:
+        return math.inf
+
+
+def bisection_norm(x, yf, tol=NORM_TOL):
+    """Reference solver: double or halve alpha from the peak to a bracket,
+    then bisect it to relative width tol; return the feasible end."""
+    peak = float(np.max(np.abs(x)))
+    hi = peak
+    while mean_phi(x, yf, hi) > 1.0:
+        hi *= 2.0
+    lo = hi
+    while mean_phi(x, yf, lo) <= 1.0:
+        lo /= 2.0
+    while hi - lo > tol * hi:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if mean_phi(x, yf, mid) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+NORM_FAMILIES = {
+    "power1": PowerYoung(1.0),
+    "power1.5": PowerYoung(1.5),
+    "power2": PowerYoung(2.0),
+    "power3": PowerYoung(3.0),
+    "exp_minus": ExpMinusYoung(),
+    "log_plus": LogPlusYoung(),
+    "tabulated_square": square_table(),
+    "tabulated_flat": TabulatedYoung([0.5, 1.0, 2.0, 4.0], [0.1, 0.1, 1.0, 5.0]),
+}
+
+
+def norm_battery():
+    """Seeded heavy-tailed samples at scales 1e-8 ... 1e8, a single atom and
+    all-equal atoms."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for scale in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+        for n in (7, 200):
+            cases.append(scale * rng.standard_t(1.5, n))
+            cases.append(scale * (rng.pareto(1.2, n) + 1.0))
+            cases.append(scale * np.exp(2.0 * rng.standard_normal(n)))
+        cases.append(np.array([scale]))
+        cases.append(np.full(9, -scale))
+    return cases
+
+
+def counted_norm(monkeypatch, x, yf):
+    """luxemburg_norm(x, yf) and the number of value plus phi evaluations."""
+    cls = type(yf)
+    count = [0]
+    for name in ("value", "phi"):
+        original = getattr(cls, name)
+
+        def counting(self, z, original=original):
+            count[0] += 1
+            return original(self, z)
+
+        monkeypatch.setattr(cls, name, counting)
+    try:
+        return luxemburg_norm(x, yf), count[0]
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("yf", NORM_FAMILIES.values(), ids=NORM_FAMILIES.keys())
+def test_norm_agrees_with_bisection_and_is_feasible_and_tight(yf):
+    for x in norm_battery():
+        a = luxemburg_norm(x, yf)
+        assert a == pytest.approx(bisection_norm(x, yf), rel=2 * NORM_TOL)
+        assert mean_phi(x, yf, a) <= 1.0
+        assert mean_phi(x, yf, a * (1.0 - 2 * NORM_TOL)) > 1.0
+
+
+@pytest.mark.parametrize("yf", NORM_FAMILIES.values(), ids=NORM_FAMILIES.keys())
+def test_norm_evaluation_budget(monkeypatch, yf):
+    """The power closed form needs one check pass plus at most three nudges;
+    Newton needs a handful of value and phi passes after the bracket."""
+    budget = 4 if isinstance(yf, PowerYoung) else 25
+    for x in norm_battery():
+        _, evaluations = counted_norm(monkeypatch, x, yf)
+        assert evaluations <= budget
+
+
+@pytest.mark.parametrize("yf", NORM_FAMILIES.values(), ids=NORM_FAMILIES.keys())
+def test_subnormal_atom_has_a_positive_feasible_norm(yf):
+    x = np.array([5e-324, 0.0])
+    a = luxemburg_norm(x, yf)
+    assert a > 0.0
+    assert mean_phi(x, yf, a) <= 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from orlicz_risk import (
     empirical_from_sample,
     kolmogorov_distance,
     load_sample_csv,
-    merge_sorted,
     psi_moment,
 )
 
@@ -158,28 +157,6 @@ def test_kolmogorov_is_a_metric_sample(x, y):
     assert 0.0 <= d <= 1.0
     assert d == kolmogorov_distance(b, a)
     assert kolmogorov_distance(a, a) == 0.0
-
-
-# ---------------------------------------------------------------------------
-# merge_sorted
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    a=arrays(np.float64, st.integers(0, 40), elements=st.floats(-100.0, 100.0)),
-    b=arrays(np.float64, st.integers(0, 40), elements=st.floats(-100.0, 100.0)),
-)
-def test_merge_matches_full_sort_bitwise(a, b):
-    a = np.sort(a)
-    b = np.sort(b)
-    merged = merge_sorted(a, b)
-    assert np.array_equal(merged, np.sort(np.concatenate((a, b))))
-
-
-def test_merge_empty_edges():
-    a = np.array([1.0, 3.0])
-    assert np.array_equal(merge_sorted(a, np.array([])), a)
-    assert np.array_equal(merge_sorted(np.array([]), a), a)
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,45 @@ def test_tabulated_matches_square_inside_and_beyond_grid():
     assert np.allclose(yf.phi(xs), 2.0 * xs, rtol=1e-12, atol=0)
 
 
+def old_tabulated_formula(yf, x):
+    """The two-search evaluation: np.interp for phi, searchsorted for the
+    segment, and the final slope extended beyond the grid."""
+    xs = np.concatenate(([0.0], yf.grid))
+    ys = np.concatenate(([0.0], yf.phi_values))
+    cum = np.concatenate(([0.0], np.cumsum(np.diff(xs) * (ys[1:] + ys[:-1]) / 2.0)))
+    slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+    ax = np.abs(x)
+    phi = np.where(ax <= xs[-1], np.interp(ax, xs, ys), ys[-1] + slope * (ax - xs[-1]))
+    idx = np.minimum(np.searchsorted(xs, ax, side="right") - 1, xs.size - 1)
+    return phi, cum[idx] + (ax - xs[idx]) * (ys[idx] + phi) / 2.0
+
+
+@pytest.mark.parametrize(
+    "yf",
+    [
+        square_table(),
+        TabulatedYoung([1.0, 2.0, 3.0], [1.0, 1.0, 5.0]),
+        TabulatedYoung([0.5, 1.0, 2.0, 4.0], [0.1, 0.3, 1.0, 5.0]).conjugate(),
+    ],
+)
+def test_tabulated_single_search_matches_old_formula(yf):
+    rng = np.random.default_rng(5)
+    top = float(yf.grid[-1])
+    x = np.concatenate(
+        (
+            [0.0],
+            yf.grid,  # on the knots
+            -yf.grid,
+            0.5 * (yf.grid[1:] + yf.grid[:-1]),  # between knots
+            rng.uniform(0.0, top, 2000),
+            top * np.geomspace(1.0 + 1e-12, 1e6, 200),  # beyond the grid
+        )
+    )
+    phi, val = old_tabulated_formula(yf, x)
+    assert np.allclose(yf.value(x), val, rtol=1e-14, atol=0)
+    assert np.allclose(yf.phi(x), phi, rtol=1e-14, atol=0)
+
+
 @pytest.mark.parametrize(
     "grid,phi,msg",
     [
