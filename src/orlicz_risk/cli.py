@@ -5,7 +5,9 @@ are printed with 17 significant digits and all file outputs are deterministic,
 so rerunning a command reproduces its artifacts byte for byte.
 
 Exit codes: 0 success, 2 input/validation error, 3 mathematical refusal
-(analytic gate failure or divergent target integral).
+(analytic gate failure or divergent target integral). A refusal writes a
+``refused: ...`` line and then one JSON line ``{"reason": ..., "witness_k":
+...}`` to stderr.
 """
 from __future__ import annotations
 
@@ -196,17 +198,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refused(message: str, reason: str, witness_k=None) -> int:
+    """The human line, then one JSON line with the machine-readable reason."""
+    print(f"refused: {message}", file=sys.stderr)
+    print(json.dumps({"reason": reason, "witness_k": witness_k}), file=sys.stderr)
+    return EXIT_REFUSED
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except GateRefusal as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
+        return _refused(str(exc), exc.reason, exc.witness_k)
     except QuadratureDivergenceError as exc:
-        print(f"refused: divergent target integral ({exc})", file=sys.stderr)
-        return EXIT_REFUSED
+        return _refused(f"divergent target integral ({exc})", "divergent_target_integral")
     except (ValueError, OSError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -15,9 +15,11 @@ telescope to one. The dual description is the scenario set
 
     S = {h >= 0 : mean h = 1, mean(h * 1_A) >= f(P[A]) for all events A},
 
-whose extreme points are the rearrangements of f' (finite Ryff picture);
-``core_membership``, ``convex_dominance`` and ``bruteforce_choquet`` are the
-oracle-scale routes through that description.
+whose extreme points are the rearrangements of f' (finite Ryff picture).
+``core_membership`` tests S by Hardy-Littlewood-Polya majorization and
+``convex_dominance`` by stop-loss maps, both for any n; only
+``bruteforce_choquet`` (n! permutations) and exhaustive ``ryff_scenarios``
+enumerate, and they are capped at n <= 8.
 """
 from __future__ import annotations
 
@@ -27,8 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import dyadic_unit_integral
-from .quantiles import QuantileFunction, as_sample
+from .laws import DiscreteUniform
+from .quadrature import _split_breakpoints, dyadic_unit_integral
+from .quantiles import as_sample
 from .young import _expect_keys
 
 __all__ = [
@@ -43,7 +46,6 @@ __all__ = [
     "convex_dominance",
     "core_membership",
     "distortion_from_dict",
-    "distortion_increments",
     "rho_finite_scenario",
     "ryff_scenarios",
 ]
@@ -225,10 +227,6 @@ class PiecewiseLinearDistortion(DistortionFunction):
         return f"PiecewiseLinearDistortion({self.knots.tolist()})"
 
 
-def distortion_increments(f: DistortionFunction, n: int) -> np.ndarray:
-    return f.increments(n)
-
-
 def choquet_empirical(xi, f: DistortionFunction) -> float:
     """L-statistic estimate: sorted sample against the distortion increments."""
     x = np.sort(as_sample(xi))
@@ -236,7 +234,7 @@ def choquet_empirical(xi, f: DistortionFunction) -> float:
 
 
 def choquet_quadrature(
-    q: QuantileFunction,
+    law,
     f: DistortionFunction,
     *,
     rel_tol: float = 1e-8,
@@ -244,23 +242,25 @@ def choquet_quadrature(
 ) -> float:
     """Choquet integral of q(u) f'(u) du over (0, 1).
 
-    Empirical quantile functions integrate exactly (the same finite sum as
-    ``choquet_empirical``); parametric ones go through dyadic endpoint
-    refinement, raising ``QuadratureDivergenceError`` when the tail fails to
-    stabilize.
+    ``law`` is read through the law protocol (``quantile``, ``tail_quantile``,
+    ``quantile_breakpoints``). A ``DiscreteUniform`` integrates exactly (the
+    same finite sum as ``choquet_empirical``); any other law goes through
+    dyadic endpoint refinement, raising ``QuadratureDivergenceError`` when the
+    tail fails to stabilize.
     """
-    if q.empirical is not None:
-        return choquet_empirical(q.empirical.values, f)
-    left_breaks = [b for b in f.breakpoints() if b <= 0.5]
-    left_breaks += [b for b in q.breakpoints if 0.0 < b <= 0.5]
-    tail_breaks = list(f.tail_breakpoints())
-    tail_breaks += [1.0 - b for b in q.breakpoints if 0.5 < b < 1.0]
+    if isinstance(law, DiscreteUniform):
+        return choquet_empirical(law.values, f)
+    law_left, law_tail = _split_breakpoints(law.quantile_breakpoints())
+    left_breaks = [b for b in f.breakpoints() if b <= 0.5] + law_left
+    tail_breaks = list(f.tail_breakpoints()) + law_tail
 
     def left(u):
-        return np.asarray(q(u), dtype=float) * np.asarray(f.right_derivative(u), dtype=float)
+        return np.asarray(law.quantile(u), dtype=float) * np.asarray(
+            f.right_derivative(u), dtype=float
+        )
 
     def tail(t):
-        return np.asarray(q.tail(t), dtype=float) * np.asarray(
+        return np.asarray(law.tail_quantile(t), dtype=float) * np.asarray(
             f.tail_right_derivative(t), dtype=float
         )
 
@@ -330,25 +330,20 @@ def rho_finite_scenario(xi, scenarios: ScenarioSet) -> float:
 
 
 def core_membership(h, f: DistortionFunction, tol: float = 1e-12) -> bool:
-    """Exhaustive check that h lies in the scenario set of f.
+    """Check that h lies in the scenario set of f.
 
-    True iff mean(h) = 1 within ``tol`` and (1/n) sum_{i in A} h_i >=
-    f(|A|/n) - tol for every subset A of atoms (all 2^n of them; n <= 20).
+    Among events with |A| = k the binding one holds the k smallest atoms, so
+    the 2^n subset constraints reduce to Hardy-Littlewood-Polya majorization:
+    True iff mean(h) = 1 within ``tol`` and cumsum(sort(h))[k-1] / n >=
+    f(k/n) - tol for k = 1..n, with f(1) = 1 literally.
     """
     hv = as_sample(h)
     n = hv.size
-    if n > 20:
-        raise ValueError("exhaustive subset check is limited to n <= 20")
     if abs(float(np.mean(hv)) - 1.0) > tol:
         return False
-    sums = np.zeros(1)
-    counts = np.zeros(1, dtype=np.int64)
-    for x in hv:
-        sums = np.concatenate((sums, sums + x))
-        counts = np.concatenate((counts, counts + 1))
-    fvals = np.asarray(f.value(np.arange(n + 1) / n), dtype=float)
+    fvals = np.asarray(f.value(np.arange(1, n + 1) / n), dtype=float)
     fvals[-1] = 1.0
-    return bool(np.all(sums / n >= fvals[counts] - tol))
+    return bool(np.all(np.cumsum(np.sort(hv)) / n >= fvals - tol))
 
 
 def convex_dominance(h, f: DistortionFunction, betas=None, tol: float = 1e-12) -> bool:

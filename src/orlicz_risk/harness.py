@@ -39,8 +39,7 @@ from .laws import (
     ParametricLaw,
     law_from_dict,
 )
-from .quadrature import dyadic_unit_integral
-from .quantiles import QuantileFunction
+from .quadrature import _split_breakpoints, dyadic_unit_integral
 from .young import PowerYoung, YoungFunction, young_from_dict, _expect_keys
 
 __all__ = [
@@ -89,14 +88,6 @@ def sample(law: ParametricLaw, n: int, seed: int) -> np.ndarray:
     return law.quantile(gen.random(int(n)))
 
 
-def _parametric_quantile(law: ParametricLaw) -> QuantileFunction:
-    return QuantileFunction.from_callable(
-        law.quantile,
-        tail_fn=law.tail_quantile,
-        breakpoints=law.quantile_breakpoints(),
-    )
-
-
 def reference_value(
     law: ParametricLaw,
     f: DistortionFunction,
@@ -110,15 +101,13 @@ def reference_value(
     are refused outright: every distortion here has f' >= 1 near u = 1 (from
     convexity with f(1) = 1), so their Choquet integral is infinite.
     """
-    if isinstance(law, DiscreteUniform):
-        return choquet_empirical(law.values, f)
     if not law.mean_is_finite():
         raise GateRefusal(
             f"infinite Choquet integral: {law.label()} has no finite mean and "
             "the distortion density is bounded away from zero near u = 1",
             reason="infinite_choquet_integral",
         )
-    return choquet_quadrature(_parametric_quantile(law), f, rel_tol=rel_tol, max_level=max_level)
+    return choquet_quadrature(law, f, rel_tol=rel_tol, max_level=max_level)
 
 
 def psi_moment_target(
@@ -133,8 +122,8 @@ def psi_moment_target(
     if not k > 0.0:
         raise ValueError("scale k must be positive")
     if isinstance(law, DiscreteUniform):
-        return float(np.mean(yf.value(k * law.values)))
-    breaks = law.quantile_breakpoints()
+        return law.psi_moment(yf, k)
+    left_breaks, tail_breaks = _split_breakpoints(law.quantile_breakpoints())
 
     def left(u):
         return yf.value(k * np.asarray(law.quantile(u), dtype=float))
@@ -146,8 +135,8 @@ def psi_moment_target(
         left,
         tail,
         rel_tol=rel_tol,
-        left_breakpoints=[b for b in breaks if b <= 0.5],
-        tail_breakpoints=[1.0 - b for b in breaks if b > 0.5],
+        left_breakpoints=left_breaks,
+        tail_breakpoints=tail_breaks,
         max_level=max_level,
     )
 

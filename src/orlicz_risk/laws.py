@@ -1,10 +1,13 @@
 """Parametric sampling laws with closed-form quantile functions.
 
 Each law knows its quantile q(u) on [0, 1), a numerically stable tail form
-q(1 - t), and an analytic classification of its Orlicz moments against the
-Young families: whether mean Psi(k * xi) is finite for every k > 0 (class
-``"m_psi"``), only for some k > 0 (``"l_psi"``), or for no k (``"none"``).
-The classification is hard-coded per (law family, growth of Psi) pair:
+q(1 - t) and the levels where q may kink; quadrature reads a law only
+through this protocol (``quantile``, ``tail_quantile``,
+``quantile_breakpoints``). Each law also has an analytic classification of
+its Orlicz moments against the Young families: whether mean Psi(k * xi) is
+finite for every k > 0 (class ``"m_psi"``), only for some k > 0
+(``"l_psi"``), or for no k (``"none"``). The classification is hard-coded
+per (law family, growth of Psi) pair:
 
 * power growth |x|^p: finiteness is scale free, so the class is m_psi or none.
 * exp growth e^|x|: exponential laws admit k < rate only (l_psi); bounded
@@ -279,7 +282,11 @@ class Lognormal(ParametricLaw):
 
 
 class DiscreteUniform(ParametricLaw):
-    """Equal mass on an explicit list of values."""
+    """Equal mass on a list of values, kept sorted with multiplicities.
+
+    This is the sample measure of a draw: ``empirical_from_sample`` builds one,
+    and quadrature of a law of this type is the exact finite sum.
+    """
 
     family = "discrete_uniform"
 
@@ -292,21 +299,39 @@ class DiscreteUniform(ParametricLaw):
         vals.setflags(write=False)
         self.values = vals
 
+    @property
+    def n(self) -> int:
+        return int(self.values.size)
+
+    def cdf(self, x):
+        """F(x) = fraction of values <= x (right-continuous)."""
+        out = np.searchsorted(self.values, np.asarray(x, dtype=float), side="right") / self.n
+        return float(out) if np.ndim(x) == 0 else out
+
     def quantile(self, u):
+        """inf{v : F(v) > u} = values[floor(u n)] for 0 <= u < 1."""
         uu = _check_u(u)
-        idx = np.minimum((uu * self.values.size).astype(np.int64), self.values.size - 1)
+        idx = np.minimum((uu * self.n).astype(np.int64), self.n - 1)
         out = self.values[idx]
         return float(out) if np.ndim(u) == 0 else out
 
     def tail_quantile(self, t):
         tt = np.asarray(t, dtype=float)
-        n = self.values.size
-        idx = np.clip(((1.0 - tt) * n).astype(np.int64), 0, n - 1)
+        idx = np.clip(((1.0 - tt) * self.n).astype(np.int64), 0, self.n - 1)
         out = self.values[idx]
         return float(out) if np.ndim(t) == 0 else out
 
     def mean(self) -> float:
         return float(np.mean(self.values))
+
+    def mean_is_finite(self) -> bool:
+        return True  # finitely many finite atoms, even if np.mean overflows
+
+    def psi_moment(self, yf: YoungFunction, k: float) -> float:
+        """Mean of Psi(k * value) under this law."""
+        if not k > 0.0:
+            raise ValueError("scale k must be positive")
+        return float(np.mean(yf.value(k * self.values)))
 
     def psi_moment_finite(self, yf, k):
         _growth(yf)
@@ -317,7 +342,7 @@ class DiscreteUniform(ParametricLaw):
         return M_PSI
 
     def label(self) -> str:
-        return f"discrete_uniform(n={self.values.size})"
+        return f"discrete_uniform(n={self.n})"
 
     def to_dict(self) -> dict:
         return {"family": "discrete_uniform", "values": [float(v) for v in self.values]}

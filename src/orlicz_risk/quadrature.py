@@ -30,6 +30,11 @@ class QuadratureDivergenceError(ArithmeticError):
     """Endpoint refinement failed to stabilize; integral treated as divergent."""
 
 
+def _split_breakpoints(breaks) -> tuple[list, list]:
+    """Interior levels u in (0, 1) as (left list in u, tail list in t = 1 - u)."""
+    return [b for b in breaks if 0.0 < b <= 0.5], [1.0 - b for b in breaks if 0.5 < b < 1.0]
+
+
 def _panel(fn, a: float, b: float, breaks) -> float:
     edges = [a] + sorted(t for t in breaks if a < t < b) + [b]
     total = 0.0

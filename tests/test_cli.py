@@ -91,6 +91,17 @@ def test_norm_missing_file_exits_2(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("row", ["nan", "inf", "-inf", "1e999"])
+def test_norm_non_finite_row_exits_2_naming_the_line(capsys, tmp_path, row):
+    csv = tmp_path / "x.csv"
+    csv.write_text(f"1.0\n2.0\n{row}\n4.0\n")
+    code, out, err = run(capsys, "norm", "--csv", str(csv), "--young", P2)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "line 3" in err
+
+
 # ---------------------------------------------------------------------------
 # estimate
 
@@ -219,6 +230,44 @@ def test_converge_infinite_mean_exits_3(capsys, tmp_path):
     code, _, err = run(capsys, "converge", str(cfg), "--out", str(tmp_path / "run"))
     assert code == 3
     assert "refused:" in err
+
+
+@pytest.mark.parametrize(
+    "overrides,record",
+    [
+        ({"young": {"family": "exp_minus"}}, {"reason": "not_m_psi", "witness_k": 1.0}),
+        (
+            {"law": {"family": "pareto", "tail": 0.9, "scale": 1.0}},
+            {"reason": "infinite_choquet_integral", "witness_k": None},
+        ),
+    ],
+)
+def test_refusal_prints_reason_and_witness(capsys, tmp_path, overrides, record):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, **overrides)
+    code, out, err = run(capsys, "converge", str(cfg), "--out", str(tmp_path / "run"))
+    assert code == 3
+    assert out == ""
+    human, machine = err.splitlines()
+    assert human.startswith("refused:")
+    assert json.loads(machine) == record
+
+
+def test_quadrature_divergence_refusal_has_its_own_reason(capsys, tmp_path, monkeypatch):
+    from orlicz_risk import QuadratureDivergenceError, cli
+
+    def diverge(config):
+        raise QuadratureDivergenceError("tail keeps growing")
+
+    monkeypatch.setattr(cli, "run_experiment", diverge)
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg)
+    code, out, err = run(capsys, "converge", str(cfg), "--out", str(tmp_path / "run"))
+    assert code == 3
+    assert out == ""
+    human, machine = err.splitlines()
+    assert human == "refused: divergent target integral (tail keeps growing)"
+    assert json.loads(machine) == {"reason": "divergent_target_integral", "witness_k": None}
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,6 @@ from orlicz_risk import (
     convex_dominance,
     core_membership,
     distortion_from_dict,
-    distortion_increments,
     empirical_from_sample,
     rho_finite_scenario,
     ryff_scenarios,
@@ -105,14 +104,14 @@ def test_parameter_validation():
 
 def test_increment_hand_values():
     assert np.allclose(
-        distortion_increments(PowerDistortion(2.0), 3),
+        PowerDistortion(2.0).increments(3),
         [1.0 / 9.0, 3.0 / 9.0, 5.0 / 9.0],
         rtol=1e-15,
     )
     assert np.allclose(
-        distortion_increments(ExpectedShortfall(0.5), 4), [0.0, 0.0, 0.5, 0.5], atol=1e-15
+        ExpectedShortfall(0.5).increments(4), [0.0, 0.0, 0.5, 0.5], atol=1e-15
     )
-    assert np.allclose(distortion_increments(IDENTITY, 7), np.full(7, 1.0 / 7.0), rtol=1e-15)
+    assert np.allclose(IDENTITY.increments(7), np.full(7, 1.0 / 7.0), rtol=1e-15)
 
 
 @pytest.mark.parametrize("f", FAMILIES, ids=lambda f: f.label())
@@ -335,9 +334,56 @@ def test_every_ryff_density_is_in_the_core(f):
             assert convex_dominance(h, f)
 
 
-def test_core_membership_bound():
-    with pytest.raises(ValueError):
-        core_membership(np.ones(21), IDENTITY)
+def _subset_oracle(h, f, tol=1e-12):
+    """The definition itself: mean(h * 1_A) >= f(|A|/n) - tol over all 2^n events A."""
+    hv = np.asarray(h, dtype=float)
+    n = hv.size
+    if abs(float(np.mean(hv)) - 1.0) > tol:
+        return False
+    sums = np.zeros(1)
+    counts = np.zeros(1, dtype=np.int64)
+    for x in hv:
+        sums = np.concatenate((sums, sums + x))
+        counts = np.concatenate((counts, counts + 1))
+    fvals = np.asarray(f.value(np.arange(n + 1) / n), dtype=float)
+    fvals[-1] = 1.0
+    return bool(np.all(sums / n >= fvals[counts] - tol))
+
+
+def test_core_membership_agrees_with_subset_enumeration():
+    rng = np.random.default_rng(2024)
+    verdicts = []
+    for f in FAMILIES:
+        for n in range(1, 13):
+            base = n * f.increments(n)
+            for _ in range(12):
+                h = rng.permutation(base)
+                kind = rng.integers(4)
+                if kind == 1:  # mixture of two rearrangements: a member
+                    h = 0.5 * (h + rng.permutation(base))
+                elif kind == 2:  # small mean-preserving move between two atoms
+                    i, j = rng.integers(n, size=2)
+                    step = rng.uniform(-0.05, 0.05)
+                    h[i] += step
+                    h[j] -= step
+                elif kind == 3:  # a random positive density with mean one
+                    h = rng.exponential(size=n)
+                    h /= h.mean()
+                got = core_membership(h, f)
+                assert got == _subset_oracle(h, f), (f.label(), h.tolist())
+                verdicts.append(got)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+@pytest.mark.parametrize("f", FAMILIES, ids=lambda f: f.label())
+@pytest.mark.parametrize("n", [64, 1000])
+def test_core_membership_has_no_size_cap(f, n):
+    for h in ryff_scenarios(f, n, selection=10, seed=n).densities:
+        assert core_membership(h, f)
+        spread = h.copy()  # move mass from the smallest atom to the largest
+        spread[np.argmin(h)] -= 1e-3
+        spread[np.argmax(h)] += 1e-3
+        assert not core_membership(spread, f)
 
 
 def test_convex_dominance_hand_cases():

@@ -110,6 +110,13 @@ def test_reference_discrete_law_is_the_exact_sum():
     assert reference_value(law, ExpectedShortfall(0.5)) == choquet_empirical(law.values, ExpectedShortfall(0.5))
 
 
+def test_reference_discrete_law_with_overflowing_mean_is_not_refused():
+    # np.mean overflows to inf here, yet finitely many finite atoms have a finite mean
+    law = DiscreteUniform([1e308, 1e308])
+    check_gate(law, ES05, PowerYoung(2.0), "m-psi")
+    assert reference_value(law, ExpectedShortfall(0.5)) == 1e308
+
+
 def test_reference_refuses_laws_without_mean():
     with pytest.raises(GateRefusal) as exc:
         reference_value(Pareto(0.8), ES05)

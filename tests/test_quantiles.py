@@ -5,14 +5,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from orlicz_risk import (
-    EmpiricalDistribution,
+    DiscreteUniform,
     PowerYoung,
     QuantileFunction,
     SampleCsvError,
     empirical_from_sample,
     kolmogorov_distance,
     load_sample_csv,
-    psi_moment,
 )
 
 finite_samples = arrays(
@@ -34,11 +33,9 @@ def test_from_sample_sorts_and_keeps_duplicates():
 
 def test_constructor_requires_sorted_values():
     with pytest.raises(ValueError):
-        EmpiricalDistribution(np.array([2.0, 1.0]))
+        DiscreteUniform(np.array([]))
     with pytest.raises(ValueError):
-        EmpiricalDistribution(np.array([]))
-    with pytest.raises(ValueError):
-        EmpiricalDistribution(np.array([0.0, np.nan]))
+        DiscreteUniform(np.array([0.0, np.nan]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -112,9 +109,9 @@ def test_quantile_nondecreasing_in_u():
 
 def test_psi_moment_hand_sums():
     d = empirical_from_sample([1.0, 2.0])
-    assert psi_moment(d, PowerYoung(2.0), 1.0) == pytest.approx(1.25, rel=1e-15)
-    assert psi_moment(d, PowerYoung(1.0), 2.0) == pytest.approx(3.0, rel=1e-15)
-    assert psi_moment(empirical_from_sample([0.0, 0.0, 0.0]), PowerYoung(3.0), 5.0) == 0.0
+    assert d.psi_moment(PowerYoung(2.0), 1.0) == pytest.approx(1.25, rel=1e-15)
+    assert d.psi_moment(PowerYoung(1.0), 2.0) == pytest.approx(3.0, rel=1e-15)
+    assert empirical_from_sample([0.0, 0.0, 0.0]).psi_moment(PowerYoung(3.0), 5.0) == 0.0
 
 
 def test_psi_moment_requires_positive_scale():
@@ -166,14 +163,13 @@ def test_kolmogorov_is_a_metric_sample(x, y):
 def test_from_empirical_evaluates_the_step_function():
     d = empirical_from_sample([4.0, 1.0, 9.0])
     q = QuantileFunction.from_empirical(d)
-    assert q.empirical is d
     us = np.array([0.0, 0.4, 0.9])
-    assert np.array_equal(q(us), d.quantile(us))
+    assert np.array_equal(q.quantile(us), d.quantile(us))
 
 
 def test_tail_defaults_to_reflected_argument():
     q = QuantileFunction.from_callable(lambda u: np.asarray(u) ** 2)
-    assert q.tail(0.25) == pytest.approx(0.75**2, rel=1e-15)
+    assert q.tail_quantile(0.25) == pytest.approx(0.75**2, rel=1e-15)
 
 
 def test_tail_override_keeps_precision_near_one():
@@ -184,12 +180,12 @@ def test_tail_override_keeps_precision_near_one():
         tail_fn=lambda t: -np.log(np.asarray(t, dtype=float)),
     )
     t = 1e-300
-    assert float(q.tail(t)) == pytest.approx(300.0 * np.log(10.0), rel=1e-14)
+    assert float(q.tail_quantile(t)) == pytest.approx(300.0 * np.log(10.0), rel=1e-14)
 
 
 def test_breakpoints_are_recorded_as_floats():
     q = QuantileFunction.from_callable(lambda u: u, breakpoints=(0.25, 0.5))
-    assert q.breakpoints == (0.25, 0.5)
+    assert q.quantile_breakpoints() == (0.25, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +210,17 @@ def test_load_csv_reports_offending_line(tmp_path):
     p = tmp_path / "c.csv"
     p.write_text("1.0\nbogus\n3.0\n")
     with pytest.raises(SampleCsvError, match="line 2"):
+        load_sample_csv(p)
+
+
+@pytest.mark.parametrize("row", ["nan", "NaN", "inf", "-inf", "-Infinity", "1e999", "-1e999"])
+@pytest.mark.parametrize("lineno", [1, 3])
+def test_load_csv_non_finite_row_names_its_line(tmp_path, row, lineno):
+    rows = ["1.0", "2.0", "3.0"]
+    rows[lineno - 1] = row
+    p = tmp_path / "e.csv"
+    p.write_text("\n".join(rows) + "\n")
+    with pytest.raises(SampleCsvError, match=f"non-finite value at line {lineno}: '{row}'"):
         load_sample_csv(p)
 
 
