@@ -32,7 +32,7 @@ import numpy as np
 from .laws import DiscreteUniform
 from .quadrature import _split_breakpoints, dyadic_unit_integral
 from .quantiles import as_sample
-from .young import _expect_keys
+from .young import _expect_keys, _spec_array, _spec_number
 
 __all__ = [
     "DistortionFunction",
@@ -392,11 +392,11 @@ def distortion_from_dict(d: dict) -> DistortionFunction:
     family = d["family"]
     if family == "es":
         _expect_keys(d, {"family", "alpha"}, "expected shortfall distortion")
-        return ExpectedShortfall(float(d["alpha"]))
+        return ExpectedShortfall(_spec_number(d, "alpha", "expected shortfall distortion"))
     if family == "power":
         _expect_keys(d, {"family", "gamma"}, "power distortion")
-        return PowerDistortion(float(d["gamma"]))
+        return PowerDistortion(_spec_number(d, "gamma", "power distortion"))
     if family == "piecewise":
         _expect_keys(d, {"family", "knots"}, "piecewise distortion")
-        return PiecewiseLinearDistortion(d["knots"])
+        return PiecewiseLinearDistortion(_spec_array(d, "knots", "piecewise distortion"))
     raise ValueError(f"unknown distortion family {family!r}")

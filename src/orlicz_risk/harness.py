@@ -40,7 +40,7 @@ from .laws import (
     law_from_dict,
 )
 from .quadrature import _split_breakpoints, dyadic_unit_integral
-from .young import PowerYoung, YoungFunction, young_from_dict, _expect_keys
+from .young import PowerYoung, YoungFunction, young_from_dict, _json_number
 
 __all__ = [
     "ConvergenceTrace",
@@ -300,8 +300,10 @@ class ExperimentConfig:
         object.__setattr__(self, "seeds", seeds)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not (0.0 < self.tolerance < 1.0):
+        tolerance = _json_number(self.tolerance, "tolerance")
+        if not (0.0 < tolerance < 1.0):
             raise ValueError("tolerance must lie in (0, 1)")
+        object.__setattr__(self, "tolerance", tolerance)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -323,7 +325,7 @@ class ExperimentConfig:
             seeds=tuple(d["seeds"]),
             mode=str(d["mode"]),
             young=young,
-            tolerance=float(d.get("tolerance", 1e-8)),
+            tolerance=d.get("tolerance", 1e-8),
         )
 
     @classmethod

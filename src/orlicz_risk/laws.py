@@ -31,6 +31,8 @@ from .young import (
     TabulatedYoung,
     YoungFunction,
     _expect_keys,
+    _spec_array,
+    _spec_number,
 )
 
 __all__ = [
@@ -363,17 +365,19 @@ def law_from_dict(d: dict) -> ParametricLaw:
     family = d["family"]
     if family == "uniform":
         _expect_keys(d, {"family", "a", "b"}, "uniform law")
-        return Uniform(float(d["a"]), float(d["b"]))
+        return Uniform(_spec_number(d, "a", "uniform law"), _spec_number(d, "b", "uniform law"))
     if family == "exponential":
         _expect_keys(d, {"family", "rate"}, "exponential law")
-        return Exponential(float(d["rate"]))
+        return Exponential(_spec_number(d, "rate", "exponential law"))
     if family == "pareto":
         _expect_keys(d, {"family", "tail", "scale"}, "pareto law")
-        return Pareto(float(d["tail"]), float(d["scale"]))
+        return Pareto(_spec_number(d, "tail", "pareto law"), _spec_number(d, "scale", "pareto law"))
     if family == "lognormal":
         _expect_keys(d, {"family", "mu", "sigma"}, "lognormal law")
-        return Lognormal(float(d["mu"]), float(d["sigma"]))
+        return Lognormal(
+            _spec_number(d, "mu", "lognormal law"), _spec_number(d, "sigma", "lognormal law")
+        )
     if family == "discrete_uniform":
         _expect_keys(d, {"family", "values"}, "discrete uniform law")
-        return DiscreteUniform(d["values"])
+        return DiscreteUniform(_spec_array(d, "values", "discrete uniform law"))
     raise ValueError(f"unknown law family {family!r}")

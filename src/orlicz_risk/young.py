@@ -342,6 +342,33 @@ def _expect_keys(d: dict, required: set[str], what: str) -> None:
         raise ValueError(f"{what} spec has unknown key(s) {sorted(extra)}")
 
 
+def _json_number(v, where: str) -> float:
+    """v as a float if it is a JSON number: an int or float, never a bool."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{where} must be a number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f"{where} is out of the float range") from None
+
+
+def _spec_number(d: dict, key: str, what: str) -> float:
+    return _json_number(d[key], f"{what} spec key {key!r}")
+
+
+def _spec_array(d: dict, key: str, what: str) -> list:
+    """The JSON array under key (numbers, or arrays of numbers) as float lists."""
+
+    def walk(v, where):
+        if isinstance(v, (list, tuple)):
+            return [walk(x, f"{where}[{i}]") for i, x in enumerate(v)]
+        return _json_number(v, where)
+
+    if not isinstance(d[key], (list, tuple)):
+        raise ValueError(f"{what} spec key {key!r} must be an array, got {d[key]!r}")
+    return walk(d[key], f"{what} spec key {key!r}")
+
+
 def young_from_dict(d: dict) -> YoungFunction:
     """Build a Young function from its JSON form; unknown keys are rejected."""
     if not isinstance(d, dict):
@@ -351,7 +378,7 @@ def young_from_dict(d: dict) -> YoungFunction:
     family = d["family"]
     if family == "power":
         _expect_keys(d, {"family", "p"}, "power young function")
-        return PowerYoung(float(d["p"]))
+        return PowerYoung(_spec_number(d, "p", "power young function"))
     if family == "exp_minus":
         _expect_keys(d, {"family"}, "exp_minus young function")
         return ExpMinusYoung()
@@ -359,6 +386,7 @@ def young_from_dict(d: dict) -> YoungFunction:
         _expect_keys(d, {"family"}, "log_plus young function")
         return LogPlusYoung()
     if family == "tabulated":
-        _expect_keys(d, {"family", "grid", "phi"}, "tabulated young function")
-        return TabulatedYoung(d["grid"], d["phi"])
+        what = "tabulated young function"
+        _expect_keys(d, {"family", "grid", "phi"}, what)
+        return TabulatedYoung(_spec_array(d, "grid", what), _spec_array(d, "phi", what))
     raise ValueError(f"unknown young function family {family!r}")

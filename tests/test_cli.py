@@ -394,3 +394,24 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"law": {"family": "uniform", "a": "0", "b": True}}, "uniform law spec key 'a'"),
+        ({"law": {"family": "uniform", "a": 0, "b": True}}, "uniform law spec key 'b'"),
+        ({"distortion": {"family": "es", "alpha": "0.25"}}, "spec key 'alpha'"),
+        ({"young": {"family": "power", "p": "2"}}, "spec key 'p'"),
+        ({"tolerance": "1e-8"}, "tolerance must be a number"),
+        ({"law": {"family": "discrete_uniform", "values": [1, True]}}, "'values'[1]"),
+    ],
+)
+def test_converge_non_numeric_spec_field_exits_2(capsys, tmp_path, overrides, message):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, **overrides)
+    outdir = tmp_path / "run"
+    code, _, err = run(capsys, "converge", str(cfg), "--out", str(outdir))
+    assert code == 2
+    assert message in err
+    assert not outdir.exists()

@@ -461,3 +461,25 @@ def test_dict_round_trip(f):
 def test_from_dict_rejects_malformed(d):
     with pytest.raises(ValueError):
         distortion_from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "d, key",
+    [
+        ({"family": "es", "alpha": "0.25"}, "'alpha'"),
+        ({"family": "es", "alpha": True}, "'alpha'"),
+        ({"family": "power", "gamma": "2"}, "'gamma'"),
+        ({"family": "piecewise", "knots": [[0, 0], [1, "1"]]}, r"'knots'\[1\]\[1\]"),
+        ({"family": "piecewise", "knots": [[0, False], [1, 1]]}, r"'knots'\[0\]\[1\]"),
+        ({"family": "piecewise", "knots": "[[0, 0], [1, 1]]"}, "'knots'"),
+    ],
+)
+def test_from_dict_refuses_booleans_and_strings(d, key):
+    with pytest.raises(ValueError, match=key):
+        distortion_from_dict(d)
+
+
+def test_from_dict_accepts_ints_as_numbers():
+    assert distortion_from_dict({"family": "power", "gamma": 2}) == PowerDistortion(2.0)
+    got = distortion_from_dict({"family": "piecewise", "knots": [[0, 0], [0.5, 0.2], [1, 1]]})
+    assert got == KINKED

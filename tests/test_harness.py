@@ -387,3 +387,28 @@ def test_write_trace_csv_golden(tmp_path):
     assert out.read_text() == (
         "N,estimate,reference,abs_error,seed\n" "1,1,1,0,0\n" "2,1,1,0,0\n"
     )
+
+
+@pytest.mark.parametrize("tolerance", ["1e-8", True, None, [1e-8]])
+def test_config_refuses_non_numeric_tolerance(tolerance):
+    d = dict(BASE_CONFIG, tolerance=tolerance)
+    with pytest.raises(ValueError, match="tolerance"):
+        ExperimentConfig.from_dict(d)
+
+
+def test_config_tolerance_is_a_float():
+    cfg = ExperimentConfig.from_dict(dict(BASE_CONFIG, tolerance=np.float64(1e-6)))
+    assert type(cfg.tolerance) is float and cfg.tolerance == 1e-6
+
+
+@pytest.mark.parametrize(
+    "key, spec",
+    [
+        ("law", {"family": "uniform", "a": "0", "b": True}),
+        ("distortion", {"family": "es", "alpha": "0.25"}),
+        ("young", {"family": "power", "p": "2"}),
+    ],
+)
+def test_config_refuses_non_numeric_spec_fields(key, spec):
+    with pytest.raises(ValueError, match="must be a number"):
+        ExperimentConfig.from_dict(dict(BASE_CONFIG, **{key: spec}))

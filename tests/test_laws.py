@@ -250,3 +250,28 @@ def test_lognormal_quantiles_use_ndtri_bitwise():
     t = np.concatenate((1.0 - US, [1e-300, 1e-17]))
     assert np.array_equal(law.quantile(u), np.exp(0.3 + 1.7 * ndtri(u)))
     assert np.array_equal(law.tail_quantile(t), np.exp(0.3 - 1.7 * ndtri(t)))
+
+
+@pytest.mark.parametrize(
+    "d, key",
+    [
+        ({"family": "uniform", "a": "0", "b": 1.0}, "'a'"),
+        ({"family": "uniform", "a": 0.0, "b": True}, "'b'"),
+        ({"family": "exponential", "rate": "1"}, "'rate'"),
+        ({"family": "pareto", "tail": 2.0, "scale": False}, "'scale'"),
+        ({"family": "lognormal", "mu": None, "sigma": 1.0}, "'mu'"),
+        ({"family": "lognormal", "mu": 0.0, "sigma": [1.0]}, "'sigma'"),
+        ({"family": "discrete_uniform", "values": [True, 2.5]}, r"'values'\[0\]"),
+        ({"family": "discrete_uniform", "values": [1.0, "2.5"]}, r"'values'\[1\]"),
+        ({"family": "discrete_uniform", "values": "1,2"}, "'values'"),
+    ],
+)
+def test_from_dict_refuses_booleans_and_strings(d, key):
+    with pytest.raises(ValueError, match=key):
+        law_from_dict(d)
+
+
+def test_from_dict_accepts_ints_as_numbers():
+    assert law_from_dict({"family": "uniform", "a": 0, "b": 2}) == Uniform(0.0, 2.0)
+    got = law_from_dict({"family": "discrete_uniform", "values": [3, 1.5]})
+    assert got == DiscreteUniform([1.5, 3.0])

@@ -386,3 +386,25 @@ def test_dict_round_trip(yf):
 def test_from_dict_rejects_malformed(d):
     with pytest.raises(ValueError):
         young_from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "d, key",
+    [
+        ({"family": "power", "p": "2"}, "'p'"),
+        ({"family": "power", "p": True}, "'p'"),
+        ({"family": "power", "p": 10**400}, "'p'"),
+        ({"family": "tabulated", "grid": [1.0, "2"], "phi": [1.0, 2.0]}, r"'grid'\[1\]"),
+        ({"family": "tabulated", "grid": [1.0, 2.0], "phi": [True, 2.0]}, r"'phi'\[0\]"),
+        ({"family": "tabulated", "grid": 1.0, "phi": [1.0]}, "'grid'"),
+    ],
+)
+def test_from_dict_refuses_booleans_and_strings(d, key):
+    with pytest.raises(ValueError, match=key):
+        young_from_dict(d)
+
+
+def test_from_dict_accepts_ints_as_numbers():
+    assert young_from_dict({"family": "power", "p": 3}) == PowerYoung(3.0)
+    got = young_from_dict({"family": "tabulated", "grid": [1, 2], "phi": [2, 4]})
+    assert got == TabulatedYoung([1.0, 2.0], [2.0, 4.0])
