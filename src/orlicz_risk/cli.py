@@ -48,6 +48,8 @@ def _json_arg(text: str, what: str) -> dict:
 
 
 def _cmd_conjugate(args) -> int:
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     yf = young_from_dict(_json_arg(args.young, "young function"))
     conj = yf.conjugate()
     xs = np.linspace(args.x_min, args.x_max, args.points)
@@ -127,6 +129,8 @@ def _cmd_brutecheck(args) -> int:
     f = distortion_from_dict(_json_arg(args.distortion, "distortion"))
     if args.n > 7:
         raise ValueError("brutecheck is limited to n <= 7")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     gen = np.random.Generator(np.random.Philox(key=int(args.seed)))
     worst = 0.0
     for _ in range(args.trials):

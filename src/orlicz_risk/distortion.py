@@ -20,6 +20,8 @@ whose extreme points are the rearrangements of f' (finite Ryff picture).
 ``convex_dominance`` by stop-loss maps, both for any n; only
 ``bruteforce_choquet`` (n! permutations) and exhaustive ``ryff_scenarios``
 enumerate, and they are capped at n <= 8.
+
+``distortion_from_dict`` reads a distortion's JSON spec (form in ``_spec``).
 """
 from __future__ import annotations
 
@@ -29,10 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._spec import ArraySpec, Spec, _shaped, from_spec, spec_label
 from .laws import DiscreteUniform
 from .quadrature import _split_breakpoints, dyadic_unit_integral
 from .quantiles import as_sample
-from .young import _expect_keys, _spec_array, _spec_number
 
 __all__ = [
     "DistortionFunction",
@@ -51,10 +53,8 @@ __all__ = [
 ]
 
 
-class DistortionFunction:
+class DistortionFunction(Spec, kind="distortion"):
     """Convex distortion of the unit interval with f(0) = 0, f(1) = 1."""
-
-    family: str = ""
 
     def value(self, t):
         raise NotImplementedError
@@ -85,10 +85,7 @@ class DistortionFunction:
         return np.diff(fvals)
 
     def label(self) -> str:
-        raise NotImplementedError
-
-    def to_dict(self) -> dict:
-        raise NotImplementedError
+        return spec_label(self)
 
     def __call__(self, t):
         return self.value(t)
@@ -101,6 +98,7 @@ class ExpectedShortfall(DistortionFunction):
     alpha: float
 
     family = "es"
+    _name = "expected shortfall"
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and 0.0 < self.alpha <= 1.0):
@@ -109,29 +107,23 @@ class ExpectedShortfall(DistortionFunction):
     def value(self, t):
         tt = np.asarray(t, dtype=float)
         out = np.clip((tt - (1.0 - self.alpha)) / self.alpha, 0.0, 1.0)
-        return float(out) if np.ndim(t) == 0 else out
+        return _shaped(out, t)
 
     def right_derivative(self, t):
         tt = np.asarray(t, dtype=float)
         out = np.where(tt >= 1.0 - self.alpha, 1.0 / self.alpha, 0.0)
-        return float(out) if np.ndim(t) == 0 else out
+        return _shaped(out, t)
 
     def tail_right_derivative(self, t):
         tt = np.asarray(t, dtype=float)
         out = np.where(tt <= self.alpha, 1.0 / self.alpha, 0.0)
-        return float(out) if np.ndim(t) == 0 else out
+        return _shaped(out, t)
 
     def breakpoints(self) -> tuple:
         return (1.0 - self.alpha,) if self.alpha < 1.0 else ()
 
     def tail_breakpoints(self) -> tuple:
         return (self.alpha,) if self.alpha < 1.0 else ()
-
-    def label(self) -> str:
-        return f"es(alpha={self.alpha:g})"
-
-    def to_dict(self) -> dict:
-        return {"family": "es", "alpha": float(self.alpha)}
 
 
 @dataclass(frozen=True)
@@ -148,20 +140,14 @@ class PowerDistortion(DistortionFunction):
 
     def value(self, t):
         out = np.asarray(t, dtype=float) ** self.gamma
-        return float(out) if np.ndim(t) == 0 else out
+        return _shaped(out, t)
 
     def right_derivative(self, t):
         out = self.gamma * np.asarray(t, dtype=float) ** (self.gamma - 1.0)
-        return float(out) if np.ndim(t) == 0 else out
-
-    def label(self) -> str:
-        return f"power(gamma={self.gamma:g})"
-
-    def to_dict(self) -> dict:
-        return {"family": "power", "gamma": float(self.gamma)}
+        return _shaped(out, t)
 
 
-class PiecewiseLinearDistortion(DistortionFunction):
+class PiecewiseLinearDistortion(ArraySpec, DistortionFunction):
     """Convex piecewise-linear distortion through explicit knots.
 
     ``knots`` is a sequence of (t, f(t)) pairs starting at (0, 0), ending at
@@ -170,6 +156,7 @@ class PiecewiseLinearDistortion(DistortionFunction):
     """
 
     family = "piecewise"
+    _arrays = (("knots", "knots"),)
 
     def __init__(self, knots):
         pts = np.asarray(knots, dtype=float)
@@ -199,14 +186,14 @@ class PiecewiseLinearDistortion(DistortionFunction):
 
     def value(self, t):
         out = np.interp(np.asarray(t, dtype=float), self._ts, self._vs)
-        return float(out) if np.ndim(t) == 0 else out
+        return _shaped(out, t)
 
     def right_derivative(self, t):
         tt = np.asarray(t, dtype=float)
         idx = np.searchsorted(self._ts, tt, side="right") - 1
         idx = np.clip(idx, 0, self._slopes.size - 1)
         out = self._slopes[idx]
-        return float(out) if np.ndim(t) == 0 else out
+        return _shaped(out, t)
 
     def breakpoints(self) -> tuple:
         return tuple(float(t) for t in self._ts[1:-1])
@@ -214,17 +201,6 @@ class PiecewiseLinearDistortion(DistortionFunction):
     def label(self) -> str:
         pairs = ",".join(f"({t:g},{v:g})" for t, v in zip(self._ts, self._vs))
         return f"piecewise[{pairs}]"
-
-    def to_dict(self) -> dict:
-        return {"family": "piecewise", "knots": [[float(t), float(v)] for t, v in self.knots]}
-
-    def __eq__(self, other):
-        return isinstance(other, PiecewiseLinearDistortion) and np.array_equal(
-            self.knots, other.knots
-        )
-
-    def __repr__(self):
-        return f"PiecewiseLinearDistortion({self.knots.tolist()})"
 
 
 def choquet_empirical(xi, f: DistortionFunction) -> float:
@@ -385,18 +361,4 @@ def bruteforce_choquet(xi, f: DistortionFunction) -> float:
 
 def distortion_from_dict(d: dict) -> DistortionFunction:
     """Build a distortion from its JSON form; unknown keys are rejected."""
-    if not isinstance(d, dict):
-        raise ValueError("distortion spec must be a JSON object")
-    if "family" not in d:
-        raise ValueError("distortion spec requires a 'family' key")
-    family = d["family"]
-    if family == "es":
-        _expect_keys(d, {"family", "alpha"}, "expected shortfall distortion")
-        return ExpectedShortfall(_spec_number(d, "alpha", "expected shortfall distortion"))
-    if family == "power":
-        _expect_keys(d, {"family", "gamma"}, "power distortion")
-        return PowerDistortion(_spec_number(d, "gamma", "power distortion"))
-    if family == "piecewise":
-        _expect_keys(d, {"family", "knots"}, "piecewise distortion")
-        return PiecewiseLinearDistortion(_spec_array(d, "knots", "piecewise distortion"))
-    raise ValueError(f"unknown distortion family {family!r}")
+    return from_spec(d, "distortion")

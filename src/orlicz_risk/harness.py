@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._spec import _expect_keys, _json_number
 from .distortion import (
     DistortionFunction,
     choquet_empirical,
@@ -40,7 +41,7 @@ from .laws import (
     law_from_dict,
 )
 from .quadrature import _split_breakpoints, dyadic_unit_integral
-from .young import PowerYoung, YoungFunction, young_from_dict, _json_number
+from .young import PowerYoung, YoungFunction, young_from_dict
 
 __all__ = [
     "ConvergenceTrace",
@@ -310,13 +311,7 @@ class ExperimentConfig:
         if not isinstance(d, dict):
             raise ValueError("experiment config must be a JSON object")
         required = {"law", "distortion", "schedule", "seeds", "mode"}
-        optional = {"young", "tolerance"}
-        missing = required - d.keys()
-        extra = d.keys() - required - optional
-        if missing:
-            raise ValueError(f"experiment config is missing key(s) {sorted(missing)}")
-        if extra:
-            raise ValueError(f"experiment config has unknown key(s) {sorted(extra)}")
+        _expect_keys(d, required, "experiment config", optional={"young", "tolerance"})
         young = young_from_dict(d["young"]) if "young" in d else PowerYoung(2.0)
         return cls(
             law=law_from_dict(d["law"]),

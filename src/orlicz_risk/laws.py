@@ -16,6 +16,8 @@ per (law family, growth of Psi) pair:
 
 TabulatedYoung grows quadratically by construction (linear extrapolation of
 the final derivative slope), so it classifies like power p = 2.
+
+``law_from_dict`` reads a law's JSON spec, whose form ``_spec`` declares.
 """
 from __future__ import annotations
 
@@ -24,16 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .young import (
-    ExpMinusYoung,
-    LogPlusYoung,
-    PowerYoung,
-    TabulatedYoung,
-    YoungFunction,
-    _expect_keys,
-    _spec_array,
-    _spec_number,
-)
+from ._spec import ArraySpec, Spec, _shaped, from_spec, spec_label
+from .young import ExpMinusYoung, LogPlusYoung, PowerYoung, TabulatedYoung, YoungFunction
 
 __all__ = [
     "DiscreteUniform",
@@ -62,10 +56,8 @@ def _growth(yf: YoungFunction) -> tuple[str, float]:
     raise TypeError(f"unsupported young function type {type(yf).__name__}")
 
 
-class ParametricLaw:
+class ParametricLaw(Spec, kind="law"):
     """Law given by a closed-form quantile function."""
-
-    family: str = ""
 
     def quantile(self, u):
         raise NotImplementedError
@@ -88,14 +80,12 @@ class ParametricLaw:
         raise NotImplementedError
 
     def psi_class(self, yf: YoungFunction) -> str:
-        """m_psi / l_psi / none membership of this law for the space of Psi."""
-        raise NotImplementedError
+        """m_psi / l_psi / none membership of this law for the space of Psi.
+        This default tests k = 1, which decides when finiteness is scale free."""
+        return M_PSI if self.psi_moment_finite(yf, 1.0) else NOT_IN_L_PSI
 
     def label(self) -> str:
-        raise NotImplementedError
-
-    def to_dict(self) -> dict:
-        raise NotImplementedError
+        return spec_label(self)
 
 
 def _check_u(u) -> np.ndarray:
@@ -119,12 +109,12 @@ class Uniform(ParametricLaw):
     def quantile(self, u):
         uu = _check_u(u)
         out = self.a + (self.b - self.a) * uu
-        return float(out) if np.ndim(u) == 0 else out
+        return _shaped(out, u)
 
     def tail_quantile(self, t):
         tt = np.asarray(t, dtype=float)
         out = self.b - (self.b - self.a) * tt
-        return float(out) if np.ndim(t) == 0 else out
+        return _shaped(out, t)
 
     def quantile_breakpoints(self) -> tuple:
         if self.a < 0.0 < self.b:
@@ -137,16 +127,6 @@ class Uniform(ParametricLaw):
     def psi_moment_finite(self, yf, k):
         _growth(yf)
         return True
-
-    def psi_class(self, yf):
-        _growth(yf)
-        return M_PSI
-
-    def label(self) -> str:
-        return f"uniform(a={self.a:g},b={self.b:g})"
-
-    def to_dict(self) -> dict:
-        return {"family": "uniform", "a": float(self.a), "b": float(self.b)}
 
 
 @dataclass(frozen=True)
@@ -162,12 +142,12 @@ class Exponential(ParametricLaw):
     def quantile(self, u):
         uu = _check_u(u)
         out = -np.log1p(-uu) / self.rate
-        return float(out) if np.ndim(u) == 0 else out
+        return _shaped(out, u)
 
     def tail_quantile(self, t):
         tt = np.asarray(t, dtype=float)
         out = -np.log(tt) / self.rate
-        return float(out) if np.ndim(t) == 0 else out
+        return _shaped(out, t)
 
     def mean(self) -> float:
         return 1.0 / self.rate
@@ -181,12 +161,6 @@ class Exponential(ParametricLaw):
     def psi_class(self, yf):
         kind, _ = _growth(yf)
         return L_PSI if kind == "exp" else M_PSI
-
-    def label(self) -> str:
-        return f"exponential(rate={self.rate:g})"
-
-    def to_dict(self) -> dict:
-        return {"family": "exponential", "rate": float(self.rate)}
 
 
 @dataclass(frozen=True)
@@ -207,12 +181,12 @@ class Pareto(ParametricLaw):
     def quantile(self, u):
         uu = _check_u(u)
         out = self.scale * (1.0 - uu) ** (-1.0 / self.tail)
-        return float(out) if np.ndim(u) == 0 else out
+        return _shaped(out, u)
 
     def tail_quantile(self, t):
         tt = np.asarray(t, dtype=float)
         out = self.scale * tt ** (-1.0 / self.tail)
-        return float(out) if np.ndim(t) == 0 else out
+        return _shaped(out, t)
 
     def mean(self) -> float:
         if self.tail <= 1.0:
@@ -226,15 +200,6 @@ class Pareto(ParametricLaw):
         if kind == "xlogx":
             return self.tail > 1.0
         return False  # exp growth never integrates a polynomial tail
-
-    def psi_class(self, yf):
-        return M_PSI if self.psi_moment_finite(yf, 1.0) else NOT_IN_L_PSI
-
-    def label(self) -> str:
-        return f"pareto(tail={self.tail:g},scale={self.scale:g})"
-
-    def to_dict(self) -> dict:
-        return {"family": "pareto", "tail": float(self.tail), "scale": float(self.scale)}
 
 
 @dataclass(frozen=True)
@@ -256,14 +221,14 @@ class Lognormal(ParametricLaw):
         uu = _check_u(u)
         with np.errstate(divide="ignore"):
             out = np.exp(self.mu + self.sigma * ndtri(uu))
-        return float(out) if np.ndim(u) == 0 else out
+        return _shaped(out, u)
 
     def tail_quantile(self, t):
         from scipy.special import ndtri
 
         tt = np.asarray(t, dtype=float)
         out = np.exp(self.mu - self.sigma * ndtri(tt))
-        return float(out) if np.ndim(t) == 0 else out
+        return _shaped(out, t)
 
     def mean(self) -> float:
         return math.exp(self.mu + 0.5 * self.sigma**2)
@@ -272,18 +237,8 @@ class Lognormal(ParametricLaw):
         kind, _ = _growth(yf)
         return kind != "exp"  # no exponential moments of any order
 
-    def psi_class(self, yf):
-        kind, _ = _growth(yf)
-        return NOT_IN_L_PSI if kind == "exp" else M_PSI
 
-    def label(self) -> str:
-        return f"lognormal(mu={self.mu:g},sigma={self.sigma:g})"
-
-    def to_dict(self) -> dict:
-        return {"family": "lognormal", "mu": float(self.mu), "sigma": float(self.sigma)}
-
-
-class DiscreteUniform(ParametricLaw):
+class DiscreteUniform(ArraySpec, ParametricLaw):
     """Equal mass on a list of values, kept sorted with multiplicities.
 
     This is the sample measure of a draw: ``empirical_from_sample`` builds one,
@@ -291,6 +246,8 @@ class DiscreteUniform(ParametricLaw):
     """
 
     family = "discrete_uniform"
+    _name = "discrete uniform"
+    _arrays = (("values", "values"),)
 
     def __init__(self, values):
         vals = np.sort(np.asarray(values, dtype=float))
@@ -308,20 +265,20 @@ class DiscreteUniform(ParametricLaw):
     def cdf(self, x):
         """F(x) = fraction of values <= x (right-continuous)."""
         out = np.searchsorted(self.values, np.asarray(x, dtype=float), side="right") / self.n
-        return float(out) if np.ndim(x) == 0 else out
+        return _shaped(out, x)
 
     def quantile(self, u):
         """inf{v : F(v) > u} = values[floor(u n)] for 0 <= u < 1."""
         uu = _check_u(u)
         idx = np.minimum((uu * self.n).astype(np.int64), self.n - 1)
         out = self.values[idx]
-        return float(out) if np.ndim(u) == 0 else out
+        return _shaped(out, u)
 
     def tail_quantile(self, t):
         tt = np.asarray(t, dtype=float)
         idx = np.clip(((1.0 - tt) * self.n).astype(np.int64), 0, self.n - 1)
         out = self.values[idx]
-        return float(out) if np.ndim(t) == 0 else out
+        return _shaped(out, t)
 
     def mean(self) -> float:
         return float(np.mean(self.values))
@@ -339,45 +296,10 @@ class DiscreteUniform(ParametricLaw):
         _growth(yf)
         return True
 
-    def psi_class(self, yf):
-        _growth(yf)
-        return M_PSI
-
     def label(self) -> str:
         return f"discrete_uniform(n={self.n})"
-
-    def to_dict(self) -> dict:
-        return {"family": "discrete_uniform", "values": [float(v) for v in self.values]}
-
-    def __eq__(self, other):
-        return isinstance(other, DiscreteUniform) and np.array_equal(self.values, other.values)
-
-    def __repr__(self):
-        return f"DiscreteUniform({self.values.tolist()})"
 
 
 def law_from_dict(d: dict) -> ParametricLaw:
     """Build a law from its JSON form; unknown keys are rejected."""
-    if not isinstance(d, dict):
-        raise ValueError("law spec must be a JSON object")
-    if "family" not in d:
-        raise ValueError("law spec requires a 'family' key")
-    family = d["family"]
-    if family == "uniform":
-        _expect_keys(d, {"family", "a", "b"}, "uniform law")
-        return Uniform(_spec_number(d, "a", "uniform law"), _spec_number(d, "b", "uniform law"))
-    if family == "exponential":
-        _expect_keys(d, {"family", "rate"}, "exponential law")
-        return Exponential(_spec_number(d, "rate", "exponential law"))
-    if family == "pareto":
-        _expect_keys(d, {"family", "tail", "scale"}, "pareto law")
-        return Pareto(_spec_number(d, "tail", "pareto law"), _spec_number(d, "scale", "pareto law"))
-    if family == "lognormal":
-        _expect_keys(d, {"family", "mu", "sigma"}, "lognormal law")
-        return Lognormal(
-            _spec_number(d, "mu", "lognormal law"), _spec_number(d, "sigma", "lognormal law")
-        )
-    if family == "discrete_uniform":
-        _expect_keys(d, {"family", "values"}, "discrete uniform law")
-        return DiscreteUniform(_spec_array(d, "values", "discrete uniform law"))
-    raise ValueError(f"unknown law family {family!r}")
+    return from_spec(d, "law")

@@ -73,10 +73,6 @@ class QuantileFunction:
         so quadrature takes the exact finite sum."""
         return dist
 
-    @classmethod
-    def from_callable(cls, fn, *, tail_fn=None, breakpoints=()) -> "QuantileFunction":
-        return cls(fn, tail_fn=tail_fn, breakpoints=breakpoints)
-
     def tail_quantile(self, t):
         """q(1 - t) for small positive t."""
         if self._tail_fn is not None:

@@ -21,6 +21,8 @@ Families:
   linearly interpolated from (0, 0) and linearly extrapolated beyond the grid
   with the final slope. Integration of the piecewise-linear derivative is
   exact (trapezoids).
+
+``young_from_dict`` reads their JSON spec, whose form ``_spec`` declares.
 """
 from __future__ import annotations
 
@@ -28,6 +30,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._spec import ArraySpec, Spec, _shaped, from_spec
 
 __all__ = [
     "YoungFunction",
@@ -37,7 +41,6 @@ __all__ = [
     "TabulatedYoung",
     "Delta2Report",
     "EvaluationRangeError",
-    "evaluate",
     "check_delta2",
     "young_from_dict",
 ]
@@ -62,14 +65,8 @@ def _checked(out: np.ndarray, label: str) -> np.ndarray:
     return out
 
 
-def _shaped(out: np.ndarray, x):
-    return float(out) if np.ndim(x) == 0 else out
-
-
-class YoungFunction:
+class YoungFunction(Spec, kind="young function"):
     """Interface shared by the Young-function families."""
-
-    family: str = ""
 
     def phi(self, x):
         """Derivative at |x| (vectorized)."""
@@ -81,9 +78,6 @@ class YoungFunction:
 
     def conjugate(self) -> "YoungFunction":
         """The conjugate Young function Psi."""
-        raise NotImplementedError
-
-    def to_dict(self) -> dict:
         raise NotImplementedError
 
     def __call__(self, x):
@@ -124,9 +118,6 @@ class PowerYoung(YoungFunction):
             )
         return PowerYoung(self.p / (self.p - 1.0))
 
-    def to_dict(self) -> dict:
-        return {"family": "power", "p": float(self.p)}
-
 
 @dataclass(frozen=True)
 class ExpMinusYoung(YoungFunction):
@@ -151,9 +142,6 @@ class ExpMinusYoung(YoungFunction):
     def conjugate(self) -> YoungFunction:
         return LogPlusYoung()
 
-    def to_dict(self) -> dict:
-        return {"family": "exp_minus"}
-
 
 @dataclass(frozen=True)
 class LogPlusYoung(YoungFunction):
@@ -172,11 +160,8 @@ class LogPlusYoung(YoungFunction):
     def conjugate(self) -> YoungFunction:
         return ExpMinusYoung()
 
-    def to_dict(self) -> dict:
-        return {"family": "log_plus"}
 
-
-class TabulatedYoung(YoungFunction):
+class TabulatedYoung(ArraySpec, YoungFunction):
     """Young function from derivative samples ``phi_values`` on ``grid``.
 
     The derivative is piecewise linear through (0, 0) and the sample knots,
@@ -188,6 +173,7 @@ class TabulatedYoung(YoungFunction):
     """
 
     family = "tabulated"
+    _arrays = (("grid", "grid"), ("phi", "phi_values"))
 
     def __init__(self, grid, phi_values):
         grid = np.asarray(grid, dtype=float)
@@ -261,31 +247,6 @@ class TabulatedYoung(YoungFunction):
                 xs_k.append(float(x_i))
         return TabulatedYoung(ys_k[1:], xs_k[1:])
 
-    def to_dict(self) -> dict:
-        return {
-            "family": "tabulated",
-            "grid": [float(g) for g in self.grid],
-            "phi": [float(v) for v in self.phi_values],
-        }
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TabulatedYoung)
-            and np.array_equal(self._xs, other._xs)
-            and np.array_equal(self._ys, other._ys)
-        )
-
-    def __repr__(self):
-        return f"TabulatedYoung(grid={self.grid.tolist()}, phi_values={self.phi_values.tolist()})"
-
-
-def evaluate(yf: YoungFunction, x: float) -> tuple[float, float]:
-    """Return (phi(|x|), Phi(x)) at a single point."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError("x must be finite")
-    return float(yf.phi(abs(x))), float(yf.value(x))
-
 
 @dataclass(frozen=True, eq=False)
 class Delta2Report:
@@ -333,60 +294,6 @@ def check_delta2(
     return Delta2Report(False, float(g[first]), math.inf, ratios, g)
 
 
-def _expect_keys(d: dict, required: set[str], what: str) -> None:
-    missing = required - d.keys()
-    extra = d.keys() - required
-    if missing:
-        raise ValueError(f"{what} spec is missing key(s) {sorted(missing)}")
-    if extra:
-        raise ValueError(f"{what} spec has unknown key(s) {sorted(extra)}")
-
-
-def _json_number(v, where: str) -> float:
-    """v as a float if it is a JSON number: an int or float, never a bool."""
-    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{where} must be a number, got {v!r}")
-    try:
-        return float(v)
-    except OverflowError:
-        raise ValueError(f"{where} is out of the float range") from None
-
-
-def _spec_number(d: dict, key: str, what: str) -> float:
-    return _json_number(d[key], f"{what} spec key {key!r}")
-
-
-def _spec_array(d: dict, key: str, what: str) -> list:
-    """The JSON array under key (numbers, or arrays of numbers) as float lists."""
-
-    def walk(v, where):
-        if isinstance(v, (list, tuple)):
-            return [walk(x, f"{where}[{i}]") for i, x in enumerate(v)]
-        return _json_number(v, where)
-
-    if not isinstance(d[key], (list, tuple)):
-        raise ValueError(f"{what} spec key {key!r} must be an array, got {d[key]!r}")
-    return walk(d[key], f"{what} spec key {key!r}")
-
-
 def young_from_dict(d: dict) -> YoungFunction:
     """Build a Young function from its JSON form; unknown keys are rejected."""
-    if not isinstance(d, dict):
-        raise ValueError("young function spec must be a JSON object")
-    if "family" not in d:
-        raise ValueError("young function spec requires a 'family' key")
-    family = d["family"]
-    if family == "power":
-        _expect_keys(d, {"family", "p"}, "power young function")
-        return PowerYoung(_spec_number(d, "p", "power young function"))
-    if family == "exp_minus":
-        _expect_keys(d, {"family"}, "exp_minus young function")
-        return ExpMinusYoung()
-    if family == "log_plus":
-        _expect_keys(d, {"family"}, "log_plus young function")
-        return LogPlusYoung()
-    if family == "tabulated":
-        what = "tabulated young function"
-        _expect_keys(d, {"family", "grid", "phi"}, what)
-        return TabulatedYoung(_spec_array(d, "grid", what), _spec_array(d, "phi", what))
-    raise ValueError(f"unknown young function family {family!r}")
+    return from_spec(d, "young function")

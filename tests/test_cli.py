@@ -71,6 +71,14 @@ def test_conjugate_unknown_family_exits_2(capsys):
     assert "cosh" in err
 
 
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_conjugate_non_positive_points_exits_2(capsys, points):
+    code, out, err = run(capsys, "conjugate", "--young", P2, "--points", points)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --points must be at least 1, got {points}\n"
+
+
 # ---------------------------------------------------------------------------
 # norm
 
@@ -388,6 +396,14 @@ def test_brutecheck_rejects_large_n(capsys):
     code, _, err = run(capsys, "brutecheck", "--n", "8", "--distortion", ES50)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_brutecheck_non_positive_trials_exits_2(capsys, trials):
+    code, out, err = run(capsys, "brutecheck", "--n", "3", "--distortion", ES50, "--trials", trials)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --trials must be at least 1, got {trials}\n"
 
 
 def test_unknown_subcommand_exits_2():

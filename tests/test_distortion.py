@@ -218,27 +218,27 @@ def test_empirical_quadrature_is_the_same_finite_sum():
 
 
 def test_quadrature_uniform_quantile_power_distortion():
-    q = QuantileFunction.from_callable(lambda u: np.asarray(u, dtype=float))
+    q = QuantileFunction(lambda u: np.asarray(u, dtype=float))
     got = choquet_quadrature(q, PowerDistortion(2.0))
     assert got == pytest.approx(2.0 / 3.0, rel=1e-8)
 
 
 def test_quadrature_uniform_quantile_expected_shortfall():
     # integral of u/alpha over [1 - alpha, 1] is 1 - alpha/2
-    q = QuantileFunction.from_callable(lambda u: np.asarray(u, dtype=float))
+    q = QuantileFunction(lambda u: np.asarray(u, dtype=float))
     got = choquet_quadrature(q, ExpectedShortfall(0.3))
     assert got == pytest.approx(0.85, rel=1e-8)
 
 
 def test_quadrature_constant_quantile_any_family():
-    q = QuantileFunction.from_callable(lambda u: np.full_like(np.asarray(u, dtype=float), 3.25))
+    q = QuantileFunction(lambda u: np.full_like(np.asarray(u, dtype=float), 3.25))
     for f in FAMILIES:
         assert choquet_quadrature(q, f) == pytest.approx(3.25, rel=1e-8)
 
 
 def test_quadrature_piecewise_kink_hand_value():
     # f' = 0.4 on [0, 0.5), 1.6 on [0.5, 1): integral of u f'(u) = 0.65
-    q = QuantileFunction.from_callable(lambda u: np.asarray(u, dtype=float))
+    q = QuantileFunction(lambda u: np.asarray(u, dtype=float))
     assert choquet_quadrature(q, KINKED) == pytest.approx(0.65, rel=1e-8)
 
 

@@ -168,14 +168,14 @@ def test_from_empirical_evaluates_the_step_function():
 
 
 def test_tail_defaults_to_reflected_argument():
-    q = QuantileFunction.from_callable(lambda u: np.asarray(u) ** 2)
+    q = QuantileFunction(lambda u: np.asarray(u) ** 2)
     assert q.tail_quantile(0.25) == pytest.approx(0.75**2, rel=1e-15)
 
 
 def test_tail_override_keeps_precision_near_one():
     # q(u) = -log(1-u): the reflected form loses all precision at t = 1e-300,
     # the dedicated tail form does not.
-    q = QuantileFunction.from_callable(
+    q = QuantileFunction(
         lambda u: -np.log1p(-np.asarray(u, dtype=float)),
         tail_fn=lambda t: -np.log(np.asarray(t, dtype=float)),
     )
@@ -184,7 +184,7 @@ def test_tail_override_keeps_precision_near_one():
 
 
 def test_breakpoints_are_recorded_as_floats():
-    q = QuantileFunction.from_callable(lambda u: u, breakpoints=(0.25, 0.5))
+    q = QuantileFunction(lambda u: u, breakpoints=(0.25, 0.5))
     assert q.quantile_breakpoints() == (0.25, 0.5)
 
 
