@@ -38,13 +38,15 @@ def _json_number(v, where: str) -> float:
 
 
 def _json_array(v, where: str) -> list:
-    """v as float lists if it is a JSON array of numbers, or of such arrays."""
+    """v as float lists if it is a JSON array of numbers, or of equal-shape such arrays."""
     if not isinstance(v, (list, tuple)):
         raise ValueError(f"{where} must be an array, got {v!r}")
+    read = _json_array if v and isinstance(v[0], (list, tuple)) else _json_number
     out = []
     for i, x in enumerate(v):
-        read = _json_array if isinstance(x, (list, tuple)) else _json_number
         out.append(read(x, f"{where}[{i}]"))
+        if read is _json_array and np.shape(x) != np.shape(v[0]):  # x is read, so not ragged
+            raise ValueError(f"{where}[{i}] has shape {np.shape(x)}, but [0] has {np.shape(v[0])}")
     return out
 
 

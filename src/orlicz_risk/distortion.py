@@ -19,13 +19,14 @@ whose extreme points are the rearrangements of f' (finite Ryff picture).
 ``core_membership`` tests S by Hardy-Littlewood-Polya majorization and
 ``convex_dominance`` by stop-loss maps, both for any n; only
 ``bruteforce_choquet`` (n! permutations) and exhaustive ``ryff_scenarios``
-enumerate, and they are capped at n <= 8.
+enumerate, and they are capped at n <= 8. Both index one numpy array of the
+n! permutations in lexicographic order; the Ryff set keeps each distinct row's
+first copy, keyed by folding the rank codes of its entries into one integer.
 
 ``distortion_from_dict`` reads a distortion's JSON spec (form in ``_spec``).
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -53,6 +54,25 @@ __all__ = [
 ]
 
 
+def _is_count(v) -> bool:
+    """True for a positive int or numpy integer, never a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
+
+
+def _permutation_index(n: int) -> np.ndarray:
+    """The n! x n permutations of range(n) in lexicographic order. Level m's rows
+    that start with ``first`` hold level m - 1 with entries >= ``first`` raised by one."""
+    idx = np.zeros((1, 0), dtype=np.intp)
+    for m in range(1, n + 1):
+        prev, rows = idx, idx.shape[0]
+        idx = np.empty((m * rows, m), dtype=np.intp)
+        for first in range(m):
+            block = idx[first * rows : (first + 1) * rows]
+            block[:, 0] = first
+            np.add(prev, prev >= first, out=block[:, 1:])
+    return idx
+
+
 class DistortionFunction(Spec, kind="distortion"):
     """Convex distortion of the unit interval with f(0) = 0, f(1) = 1."""
 
@@ -77,8 +97,8 @@ class DistortionFunction(Spec, kind="distortion"):
     def increments(self, n: int) -> np.ndarray:
         """Weights w_k = f(k/n) - f((k-1)/n), k = 1..n; the top weight uses
         f(1) = 1 literally so the weights sum to one."""
-        if not (isinstance(n, (int, np.integer)) and n >= 1):
-            raise ValueError("n must be a positive integer")
+        if not _is_count(n):
+            raise ValueError(f"n must be a positive integer, got {n!r}")
         levels = np.arange(n + 1) / n
         fvals = np.asarray(self.value(levels), dtype=float)
         fvals[-1] = 1.0
@@ -277,22 +297,28 @@ class ScenarioSet:
 def ryff_scenarios(f: DistortionFunction, n: int, selection="exhaustive", seed: int = 0) -> ScenarioSet:
     """Rearrangements of the discrete density n * increments(f, n).
 
-    ``selection`` is ``"exhaustive"`` (all distinct rearrangements, n <= 8) or
-    an integer count of seeded random permutations.
+    ``selection`` is ``"exhaustive"`` (all distinct rearrangements in
+    lexicographic order, n <= 8) or a positive integer count of seeded random
+    permutations.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError("n must be a positive integer")
+    if not _is_count(n):
+        raise ValueError(f"n must be a positive integer, got {n!r}")
     base = n * f.increments(int(n))
     if selection == "exhaustive":
         if n > 8:
             raise ValueError("exhaustive enumeration is limited to n <= 8")
-        rows = sorted(set(itertools.permutations(base.tolist())))
+        idx = _permutation_index(int(n))
+        # equal values share a rank code, so equal rows share a key below n**n
+        rank = np.unique(base, return_inverse=True)[1]
+        key = np.zeros(idx.shape[0], dtype=np.int64)
+        for col in idx.T:
+            key = key * n + rank[col]
+        rows = base[idx[np.unique(key, return_index=True)[1]]]
     else:
-        count = int(selection)
-        if count < 1:
-            raise ValueError("selection must be 'exhaustive' or a positive count")
+        if not _is_count(selection):
+            raise ValueError(f"selection must be 'exhaustive' or a count >= 1, got {selection!r}")
         rng = np.random.Generator(np.random.Philox(key=int(seed)))
-        seen = {tuple(rng.permutation(base).tolist()) for _ in range(count)}
+        seen = {tuple(rng.permutation(base).tolist()) for _ in range(int(selection))}
         rows = sorted(seen)
     return ScenarioSet(np.asarray(rows, dtype=float))
 
@@ -354,9 +380,7 @@ def bruteforce_choquet(xi, f: DistortionFunction) -> float:
     n = x.size
     if n > 8:
         raise ValueError("brute force enumeration is limited to n <= 8")
-    w = f.increments(n)
-    perms = np.asarray(list(itertools.permutations(range(n))), dtype=np.intp)
-    return float(np.max(x[perms] @ w))
+    return float(np.max(x[_permutation_index(n)] @ f.increments(n)))
 
 
 def distortion_from_dict(d: dict) -> DistortionFunction:

@@ -151,7 +151,9 @@ def ando_profile(
     Each row of ``densities`` must be a nonnegative vector with mean one
     (within ``mean_tol``). The profile vanishing as lambda grows is the
     uniform-integrability criterion for relative weak compactness of the
-    family in the Orlicz space of Phi.
+    family in the Orlicz space of Phi. A row enters only through its sorted
+    content: rows are sorted once and one equal to the row before it is
+    evaluated once, so a Ryff set costs one row per lambda.
     """
     dens = np.atleast_2d(np.asarray(densities, dtype=float))
     if dens.ndim != 2 or dens.size == 0:
@@ -166,10 +168,12 @@ def ando_profile(
     lams = np.asarray(lambdas, dtype=float)
     if lams.ndim != 1 or lams.size == 0 or lams[0] <= 0.0 or np.any(np.diff(lams) <= 0.0):
         raise ValueError("lambdas must be positive and strictly increasing")
+    rows = np.sort(dens, axis=1)
+    rows = rows[np.concatenate(([True], np.any(rows[1:] != rows[:-1], axis=1)))]
     values = np.empty(lams.size)
     for j, lam in enumerate(lams):
         try:
-            values[j] = lam * float(np.max(np.mean(yf.value(dens / lam), axis=1)))
+            values[j] = lam * float(np.max(np.mean(yf.value(rows / lam), axis=1)))
         except EvaluationRangeError:
             values[j] = math.inf
     values.setflags(write=False)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from orlicz_risk import (
     rho_finite_scenario,
     ryff_scenarios,
 )
+from orlicz_risk.distortion import _permutation_index
 
 IDENTITY = PowerDistortion(1.0)
 KINKED = PiecewiseLinearDistortion([[0.0, 0.0], [0.5, 0.2], [1.0, 1.0]])
@@ -282,6 +285,52 @@ def test_ryff_bounds_and_validation():
         ryff_scenarios(IDENTITY, 0)
 
 
+def test_ryff_refuses_bools_non_integers_and_strings():
+    for bad in [True, False, 2.7, 3.0, "3", "abc", 0, -2, None]:
+        with pytest.raises(ValueError, match=r"^selection must be 'exhaustive' or a count >= 1"):
+            ryff_scenarios(IDENTITY, 3, selection=bad)
+    for bad in [True, 2.0, "3"]:
+        with pytest.raises(ValueError, match=r"^n must be a positive integer"):
+            ryff_scenarios(IDENTITY, bad)
+        with pytest.raises(ValueError, match=r"^n must be a positive integer"):
+            IDENTITY.increments(bad)
+    f = PowerDistortion(2.0)
+    a = ryff_scenarios(f, np.int64(6), selection=np.int32(5), seed=3)
+    assert np.array_equal(a.densities, ryff_scenarios(f, 6, selection=5, seed=3).densities)
+    assert np.array_equal(f.increments(np.int64(4)), f.increments(4))
+
+
+def test_permutation_index_is_the_lexicographic_enumeration():
+    for n in range(1, 9):
+        idx = _permutation_index(n)
+        assert idx.dtype == np.intp
+        assert np.array_equal(idx, np.array(list(itertools.permutations(range(n)))))
+
+
+def ryff_tuple_oracle(f, n):
+    """The exhaustive enumeration by Python tuples: every permutation, then a set."""
+    base = n * f.increments(n)
+    return np.asarray(sorted(set(itertools.permutations(base.tolist()))), dtype=float)
+
+
+RYFF_FAMILIES = [
+    IDENTITY,
+    ExpectedShortfall(0.25),
+    ExpectedShortfall(0.5),
+    PowerDistortion(2.0),
+    PowerDistortion(3.5),
+    PiecewiseLinearDistortion([[0.0, 0.0], [0.5, 0.25], [0.75, 0.5], [1.0, 1.0]]),
+]
+
+
+@pytest.mark.parametrize("f", RYFF_FAMILIES, ids=lambda f: f.label())
+def test_ryff_exhaustive_is_bitwise_the_tuple_enumeration(f):
+    for n in range(1, 9):
+        got = ryff_scenarios(f, n).densities
+        want = ryff_tuple_oracle(f, n)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), n
+
+
 def test_scenario_set_validation():
     with pytest.raises(ValueError):
         ScenarioSet(np.array([[0.5, 0.6]]))  # mean != 1
@@ -436,6 +485,18 @@ def test_bruteforce_matches_estimator_on_random_instances():
 def test_bruteforce_bound():
     with pytest.raises(ValueError):
         bruteforce_choquet(np.zeros(9), IDENTITY)
+
+
+def test_bruteforce_is_bitwise_the_tuple_list_form():
+    perms = {n: np.asarray(list(itertools.permutations(range(n)))) for n in range(1, 9)}
+    rng = np.random.default_rng(404)
+    for case in range(240):
+        f = RYFF_FAMILIES[case % len(RYFF_FAMILIES)]
+        n = int(rng.integers(1, 9))
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+        if case % 4 == 0:
+            x = np.round(x)  # ties
+        assert bruteforce_choquet(x, f) == float(np.max(x[perms[n]] @ f.increments(n))), case
 
 
 # ---------------------------------------------------------------------------

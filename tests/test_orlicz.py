@@ -9,13 +9,16 @@ from scipy.optimize import brentq
 
 from orlicz_risk import (
     EvaluationRangeError,
+    ExpectedShortfall,
     ExpMinusYoung,
     LogPlusYoung,
+    PowerDistortion,
     PowerYoung,
     TabulatedYoung,
     ando_profile,
     luxemburg_norm,
     pairing,
+    ryff_scenarios,
 )
 
 NORM_TOL = 1e-10
@@ -345,6 +348,78 @@ def test_profile_overflow_reported_as_inf_value():
     prof = ando_profile([[2.0, 0.0]], ExpMinusYoung(), lambdas=(0.001,))
     assert math.isinf(prof.values[0])
     assert not prof.converged
+
+
+def ando_row_oracle(dens, yf, lambdas):
+    """max over every row of lambda * mean Phi(row / lambda); a row that
+    overflows counts as inf."""
+    dens = np.asarray(dens, dtype=float)
+    out = []
+    for lam in lambdas:
+        try:
+            out.append(lam * float(np.max(np.mean(yf.value(dens / lam), axis=1))))
+        except EvaluationRangeError:
+            vals = []
+            for row in dens:
+                try:
+                    vals.append(lam * float(np.mean(yf.value(row / lam))))
+                except EvaluationRangeError:
+                    vals.append(math.inf)
+            out.append(max(vals))
+    return np.array(out)
+
+
+def assert_profile_matches_oracle(dens, yf, lambdas):
+    got = ando_profile(dens, yf, lambdas).values
+    want = ando_row_oracle(dens, yf, lambdas)
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    fin = np.isfinite(want)
+    assert np.all(np.abs(got[fin] - want[fin]) <= 1e-15 * np.abs(want[fin])), (got, want)
+
+
+PROFILE_YOUNG = [PowerYoung(2.0), PowerYoung(3.5), ExpMinusYoung(), LogPlusYoung(), square_table()]
+LAMS = (0.3, 1.0, 10.0, 100.0, 1000.0, 10000.0)
+
+
+@pytest.mark.parametrize("yf", PROFILE_YOUNG, ids=lambda y: y.family)
+def test_profile_collapses_equal_rows_within_1e15_of_row_by_row(yf):
+    for f, n in [(PowerDistortion(2.0), 8), (ExpectedShortfall(0.25), 8), (PowerDistortion(3), 5)]:
+        assert_profile_matches_oracle(ryff_scenarios(f, n).densities, yf, LAMS)
+    a, b = [2.0, 0.0, 1.0, 1.0], [0.0, 0.0, 0.5, 3.5]
+    # classes A, B, A' not adjacent, then a repeat of B in another order
+    assert_profile_matches_oracle([a, b, a[::-1], [3.5, 0.0, 0.5, 0.0]], yf, LAMS)
+    rng = np.random.default_rng(17)
+    rows = rng.exponential(size=(50, 7))
+    assert_profile_matches_oracle(rows / rows.mean(axis=1, keepdims=True), yf, LAMS)
+
+
+def test_profile_overflow_in_some_classes_only():
+    # exp overflows past 709: at lambda = 0.002 the class of (2, 0) overflows
+    # and the class of (1, 1) does not; from 0.01 on neither does
+    rows = [[1.0, 1.0], [2.0, 0.0], [0.0, 2.0], [1.0, 1.0]]
+    lams = (0.002, 0.01, 1.0)
+    assert_profile_matches_oracle(rows, ExpMinusYoung(), lams)
+    prof = ando_profile(rows, ExpMinusYoung(), lams)
+    assert math.isinf(prof.values[0]) and np.all(np.isfinite(prof.values[1:]))
+
+
+class CountingYoung:
+    """Delegates to a Young function and counts the elements ``value`` sees."""
+
+    def __init__(self, yf):
+        self.yf, self.elems = yf, 0
+
+    def value(self, x):
+        self.elems += np.size(x)
+        return self.yf.value(x)
+
+
+def test_profile_evaluates_a_ryff_set_once_per_lambda():
+    dens = ryff_scenarios(PowerDistortion(2.0), 8).densities
+    assert dens.shape == (40320, 8)
+    counter = CountingYoung(PowerYoung(2.0))
+    ando_profile(dens, counter)  # five lambdas
+    assert counter.elems == 5 * 8
 
 
 def test_profile_input_validation():

@@ -136,6 +136,8 @@ REFUSALS = [
      "discrete uniform law spec key 'values'[1] must be a number, got '2'"),
     ("law", {"family": "discrete_uniform", "values": "1,2"},
      "discrete uniform law spec key 'values' must be an array, got '1,2'"),
+    ("law", {"family": "discrete_uniform", "values": [1, [2, 3]]},
+     "discrete uniform law spec key 'values'[1] must be a number, got [2, 3]"),
     ("distortion", [1], "distortion spec must be a JSON object"),
     ("distortion", {"p": 2}, "distortion spec requires a 'family' key"),
     ("distortion", {"family": "nope"}, "unknown distortion family 'nope'"),
@@ -164,6 +166,14 @@ REFUSALS = [
      "piecewise distortion spec key 'knots'[1][1] must be a number, got 'x'"),
     ("distortion", {"family": "piecewise", "knots": "1,2"},
      "piecewise distortion spec key 'knots' must be an array, got '1,2'"),
+    ("distortion", {"family": "piecewise", "knots": [[0, 0], 5, [1, 1]]},
+     "piecewise distortion spec key 'knots'[1] must be an array, got 5"),
+    ("distortion", {"family": "piecewise", "knots": [[0, 0], [0.5, 0.25, 1], [1, 1]]},
+     "piecewise distortion spec key 'knots'[1] has shape (3,), but [0] has (2,)"),
+    ("distortion", {"family": "piecewise", "knots": [[0, 0], [[0.5], [0.25]], [1, 1]]},
+     "piecewise distortion spec key 'knots'[1] has shape (2, 1), but [0] has (2,)"),
+    ("distortion", {"family": "piecewise", "knots": [[0, 0], [0.5, [0.25]], [1, 1]]},
+     "piecewise distortion spec key 'knots'[1][1] must be a number, got [0.25]"),
     ("young", [1], "young function spec must be a JSON object"),
     ("young", {"p": 2}, "young function spec requires a 'family' key"),
     ("young", {"family": "nope"}, "unknown young function family 'nope'"),
@@ -188,6 +198,8 @@ REFUSALS = [
      "tabulated young function spec key 'phi'[1] must be a number, got '3'"),
     ("young", {"family": "tabulated", "grid": [1, 2], "phi": "1,2"},
      "tabulated young function spec key 'phi' must be an array, got '1,2'"),
+    ("young", {"family": "tabulated", "grid": [[1], 2], "phi": [1, 3]},
+     "tabulated young function spec key 'grid'[1] must be an array, got 2"),
 ]
 
 
