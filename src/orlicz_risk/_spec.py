@@ -18,6 +18,11 @@ def _shaped(out: np.ndarray, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
+def _is_count(v, least: int = 1) -> bool:
+    """True for an int or numpy integer of at least ``least``, never a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= least
+
+
 def _expect_keys(d: dict, required: set[str], what: str, optional: set[str] = frozenset()) -> None:
     missing = required - d.keys()
     extra = d.keys() - required - optional

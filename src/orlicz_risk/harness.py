@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._spec import _expect_keys, _json_number
+from ._spec import _expect_keys, _is_count, _json_number
 from .distortion import (
     DistortionFunction,
     choquet_empirical,
@@ -81,10 +81,10 @@ def sample(law: ParametricLaw, n: int, seed: int) -> np.ndarray:
     Prefix stable: sample(law, m, seed)[:n] == sample(law, n, seed) for
     m >= n, bit for bit.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError("n must be a positive integer")
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ValueError("seed must be a nonnegative integer")
+    if not _is_count(n):
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    if not _is_count(seed, least=0):
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     gen = np.random.Generator(np.random.Philox(key=int(seed)))
     return law.quantile(gen.random(int(n)))
 

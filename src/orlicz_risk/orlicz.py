@@ -9,12 +9,13 @@ atoms. The Luxemburg norm for a Young function Phi is
 Phi(x) = |x|**p / p the infimum has the closed form (mean |xi|**p / p)**(1/p),
 evaluated relative to the largest atom so that it cannot overflow. Every other
 family is bracketed by doubling and halving alpha, then solved by Newton's
-method on t = log alpha -> log mean Phi(|xi| e**-t), whose slope
--mean(u phi(u)) / mean Phi(u) at u = |xi| / alpha comes from the derivative
-phi; the map is exactly linear for power functions. A Newton step that would
-leave the bracket is replaced by bisection, and once the steps fall below a
-quarter of the tolerance the next point is placed just past the root, which
-closes the bracket.
+method on t = log alpha -> log mean Phi(|xi| e**-t), a map linear for power
+functions, with slope -mean(u phi(u)) / mean Phi(u) at u = |xi| / alpha. Each
+point costs one pass of the family's fused kernel, which writes phi(u) and
+Phi(u) into buffers made once per call. A Newton step that would leave the
+bracket is replaced by bisection, and once the steps fall below a quarter of
+the tolerance the next point is placed just past the root, which closes the
+bracket.
 
 Either way the returned alpha is one at which mean Phi(xi / alpha) <= 1 holds
 as ``YoungFunction.value`` computes it, and (1 - tol) alpha is infeasible. The
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distortion import _densities
 from .quantiles import as_sample
 from .young import EvaluationRangeError, PowerYoung, YoungFunction
 
@@ -49,22 +51,26 @@ def luxemburg_norm(xi, yf: YoungFunction, tol: float = 1e-10) -> float:
         return 0.0
     u = np.empty_like(ax)
 
-    def mean_phi(alpha: float) -> float:
+    def mean_phi(alpha: float, fused: bool = True) -> float:
         np.divide(ax, alpha, out=u)
         try:
-            return float(np.mean(yf.value(u)))
+            if not fused:
+                return float(np.mean(yf.value(u)))
+            yf._value_and_phi_into(u, phi_u, value_u, peak / alpha)  # peak / alpha == max(u)
         except EvaluationRangeError:
             return math.inf
+        return float(np.mean(value_u))
 
     if isinstance(yf, PowerYoung):
         p = yf.p
         alpha = peak * (float(np.mean((ax / peak) ** p)) / p) ** (1.0 / p)
         if 0.0 < alpha < math.inf:
             for k in range(_CLOSED_FORM_NUDGES + 1):
-                if mean_phi(alpha) <= 1.0:
+                if mean_phi(alpha, fused=False) <= 1.0:
                     return alpha
                 alpha += (4 << k) * math.ulp(alpha)
 
+    phi_u, value_u = np.empty_like(ax), np.empty_like(ax)  # phi(u), Phi(u) at the last point
     # bracket: lo infeasible (mean Phi > 1), hi feasible
     alpha, f = peak, mean_phi(peak)
     if f > 1.0:
@@ -81,22 +87,16 @@ def luxemburg_norm(xi, yf: YoungFunction, tol: float = 1e-10) -> float:
                 return hi  # subnormal peak: halving underflowed to zero
             f = mean_phi(alpha)
         lo = alpha
-
-    def log_newton_step(alpha: float, f: float) -> float:
-        if not 0.0 < f < math.inf:
-            return math.nan
-        np.divide(ax, alpha, out=u)
-        try:
-            slope = float(np.mean(u * yf.phi(u)))
-        except EvaluationRangeError:
-            return math.nan
-        if not 0.0 < slope < math.inf:
-            return math.nan
-        return f * math.log(f) / slope
+        mean_phi(hi)  # the buffers hold lo, and Newton starts from hi
 
     alpha, f = hi, f_hi
     while hi - lo > tol * hi:
-        step = log_newton_step(alpha, f)
+        # Newton step in log alpha from the last point evaluated; nan bisects
+        step = math.nan
+        if 0.0 < f < math.inf:
+            slope = float(np.mean(np.multiply(u, phi_u, out=value_u)))
+            if 0.0 < slope < math.inf:
+                step = f * math.log(f) / slope
         if abs(step) < 0.25 * tol:
             # the root is within a quarter tolerance: step past it, away
             # from the current end, so the next point closes the bracket
@@ -155,16 +155,7 @@ def ando_profile(
     content: rows are sorted once and one equal to the row before it is
     evaluated once, so a Ryff set costs one row per lambda.
     """
-    dens = np.atleast_2d(np.asarray(densities, dtype=float))
-    if dens.ndim != 2 or dens.size == 0:
-        raise ValueError("densities must be a nonempty 2-D array")
-    if not np.all(np.isfinite(dens)):
-        raise ValueError("densities must be finite")
-    if np.any(dens < 0.0):
-        raise ValueError("densities must be nonnegative")
-    means = dens.mean(axis=1)
-    if np.any(np.abs(means - 1.0) > mean_tol):
-        raise ValueError("every density must have mean 1 within tolerance")
+    dens = _densities(densities, mean_tol)
     lams = np.asarray(lambdas, dtype=float)
     if lams.ndim != 1 or lams.size == 0 or lams[0] <= 0.0 or np.any(np.diff(lams) <= 0.0):
         raise ValueError("lambdas must be positive and strictly increasing")

@@ -66,7 +66,12 @@ def _checked(out: np.ndarray, label: str) -> np.ndarray:
 
 
 class YoungFunction(Spec, kind="young function"):
-    """Interface shared by the Young-function families."""
+    """Interface shared by the Young-function families.
+
+    The Luxemburg solver's kernel ``_value_and_phi_into(u, phi_out, value_out, u_max)``
+    writes phi(u) and Phi(u) bitwise as ``phi`` and ``value`` do, for unchecked finite u >= 0
+    with max(u) == u_max; where those raise ``EvaluationRangeError`` it raises or writes non-finite.
+    """
 
     def phi(self, x):
         """Derivative at |x| (vectorized)."""
@@ -75,6 +80,13 @@ class YoungFunction(Spec, kind="young function"):
     def value(self, x):
         """Phi(x) = integral of phi over [0, |x|] (vectorized)."""
         raise NotImplementedError
+
+    def _value_and_phi_into(self, u, phi_out, value_out, u_max):
+        value_out[...] = self.value(u)
+        try:
+            phi_out[...] = self.phi(u)
+        except EvaluationRangeError:
+            phi_out.fill(math.nan)
 
     def conjugate(self) -> "YoungFunction":
         """The conjugate Young function Psi."""
@@ -123,21 +135,24 @@ class PowerYoung(YoungFunction):
 class ExpMinusYoung(YoungFunction):
     family = "exp_minus"
 
+    @staticmethod
+    def _check_range(ax_max: float, label: str) -> None:
+        if ax_max > _EXP_ARG_MAX:
+            raise EvaluationRangeError(f"{label} overflows float64 beyond |x| = {_EXP_ARG_MAX}")
+
     def phi(self, x):
         ax = np.abs(_as_finite_array(x))
-        if np.any(ax > _EXP_ARG_MAX):
-            raise EvaluationRangeError(
-                f"phi overflows float64 beyond |x| = {_EXP_ARG_MAX}"
-            )
+        self._check_range(np.max(ax, initial=0.0), "phi")
         return _shaped(np.expm1(ax), x)
 
     def value(self, x):
         ax = np.abs(_as_finite_array(x))
-        if np.any(ax > _EXP_ARG_MAX):
-            raise EvaluationRangeError(
-                f"Phi overflows float64 beyond |x| = {_EXP_ARG_MAX}"
-            )
+        self._check_range(np.max(ax, initial=0.0), "Phi")
         return _shaped(np.expm1(ax) - ax, x)
+
+    def _value_and_phi_into(self, u, phi_out, value_out, u_max):
+        self._check_range(u_max, "Phi")
+        np.subtract(np.expm1(u, out=phi_out), u, out=value_out)
 
     def conjugate(self) -> YoungFunction:
         return LogPlusYoung()
@@ -156,6 +171,11 @@ class LogPlusYoung(YoungFunction):
         with np.errstate(over="ignore"):
             out = (1.0 + ax) * np.log1p(ax) - ax
         return _shaped(_checked(out, "Phi"), x)
+
+    def _value_and_phi_into(self, u, phi_out, value_out, u_max):
+        with np.errstate(over="ignore"):  # an overflow leaves inf: out of range
+            np.multiply(np.add(1.0, u, out=value_out), np.log1p(u, out=phi_out), out=value_out)
+        np.subtract(value_out, u, out=value_out)
 
     def conjugate(self) -> YoungFunction:
         return ExpMinusYoung()
@@ -218,21 +238,21 @@ class TabulatedYoung(ArraySpec, YoungFunction):
         return self._ys[1:]
 
     def _segment(self, ax):
-        """Knot index at or below each |x|, offset from it, and phi there."""
+        """phi and Phi at each |x|, from the knot at or below it."""
         idx = np.searchsorted(self._xs, ax, side="right") - 1
         dx = ax - self._xs[idx]
-        return idx, dx, self._ys[idx] + self._slopes[idx] * dx
+        with np.errstate(over="ignore"):  # an overflow leaves inf: out of range
+            phi = self._ys[idx] + self._slopes[idx] * dx
+            return phi, self._cum[idx] + dx * (self._ys[idx] + phi) / 2.0
 
     def phi(self, x):
-        ax = np.abs(_as_finite_array(x))
-        _, _, out = self._segment(ax)
-        return _shaped(_checked(out, "phi"), x)
+        return _shaped(_checked(self._segment(np.abs(_as_finite_array(x)))[0], "phi"), x)
 
     def value(self, x):
-        ax = np.abs(_as_finite_array(x))
-        idx, dx, phi_ax = self._segment(ax)
-        out = self._cum[idx] + dx * (self._ys[idx] + phi_ax) / 2.0
-        return _shaped(_checked(out, "Phi"), x)
+        return _shaped(_checked(self._segment(np.abs(_as_finite_array(x)))[1], "Phi"), x)
+
+    def _value_and_phi_into(self, u, phi_out, value_out, u_max):
+        phi_out[...], value_out[...] = self._segment(u)
 
     def conjugate(self) -> YoungFunction:
         # Invert the knot sequence; a flat segment of phi collapses to a

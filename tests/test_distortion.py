@@ -307,6 +307,13 @@ def test_permutation_index_is_the_lexicographic_enumeration():
         assert np.array_equal(idx, np.array(list(itertools.permutations(range(n)))))
 
 
+def test_permutation_index_is_built_once_per_n_and_read_only():
+    for n in range(1, 9):
+        idx = _permutation_index(n)
+        assert _permutation_index(n) is idx
+        assert not idx.flags.writeable
+
+
 def ryff_tuple_oracle(f, n):
     """The exhaustive enumeration by Python tuples: every permutation, then a set."""
     base = n * f.increments(n)
@@ -320,6 +327,7 @@ RYFF_FAMILIES = [
     PowerDistortion(2.0),
     PowerDistortion(3.5),
     PiecewiseLinearDistortion([[0.0, 0.0], [0.5, 0.25], [0.75, 0.5], [1.0, 1.0]]),
+    PowerDistortion(1.0000000000000002),  # at n = 4 the increments round distinct and unsorted
 ]
 
 

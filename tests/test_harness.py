@@ -61,6 +61,16 @@ def test_sample_validation():
         sample(law, 2.5, 0)
 
 
+def test_sample_refuses_bools_and_keeps_numpy_integers():
+    law = Exponential(1.0)
+    with pytest.raises(ValueError, match=r"^n must be a positive integer, got True$"):
+        sample(law, True, 0)
+    for seed in (True, False):
+        with pytest.raises(ValueError, match=rf"^seed must be a nonnegative integer, got {seed}$"):
+            sample(law, 1, seed)
+    assert np.array_equal(sample(law, np.int64(5), np.uint32(3)), sample(law, 5, 3))
+
+
 def test_uniform_draws_stay_inside_the_interval():
     x = sample(Uniform(0.0, 1.0), 10_000, seed=3)
     assert np.all((x > 0.0) & (x < 1.0))

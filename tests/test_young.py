@@ -15,6 +15,7 @@ from orlicz_risk import (
     check_delta2,
     young_from_dict,
 )
+from orlicz_risk._spec import REGISTRY
 
 REL_TOL = 1e-10
 CONJ_GRID_TOL = 1e-8
@@ -275,6 +276,71 @@ def test_tabulated_single_search_matches_old_formula(yf):
 def test_tabulated_rejects_bad_tables(grid, phi, msg):
     with pytest.raises(ValueError, match=msg):
         TabulatedYoung(grid, phi)
+
+
+# ---------------------------------------------------------------------------
+# the Luxemburg solver's fused kernel
+
+KERNEL_FAMILIES = {
+    "power": [PowerYoung(1.0), PowerYoung(1.5), PowerYoung(2.0), PowerYoung(3.0)],
+    "exp_minus": [ExpMinusYoung()],
+    "log_plus": [LogPlusYoung()],
+    "tabulated": [square_table(), TabulatedYoung([0.5, 1.0, 2.0, 4.0], [0.1, 0.1, 1.0, 5.0])],
+}
+
+
+def test_kernel_check_covers_every_registered_family():
+    assert KERNEL_FAMILIES.keys() == REGISTRY["young function"].keys()
+
+
+def kernel_arguments(yf):
+    """Finite u >= 0: zero, subnormal, ordinary and large entries, the knots
+    and points beyond the grid of a table, and exp's last admissible argument
+    709 with its successor."""
+    rng = np.random.default_rng(9)
+    args = [
+        np.array([0.0]),
+        np.array([0.0, 5e-324, 1e-300, 1e-8, 0.5]),
+        rng.exponential(size=500),
+        np.geomspace(1e-6, 708.0, 300),
+        np.array([1.0, 709.0]),
+        np.array([1.0, np.nextafter(709.0, np.inf)]),
+        np.array([2.0, 1e6]),
+        np.array([1e100, 1e200, 1e306]),
+    ]
+    if isinstance(yf, TabulatedYoung):
+        top = float(yf.grid[-1])
+        args += [yf.grid, 0.5 * (yf.grid[1:] + yf.grid[:-1]), top * np.geomspace(1.0, 1e6, 50)]
+    return args
+
+
+def outcome(f, u):
+    try:
+        return f(u)
+    except EvaluationRangeError:
+        return None
+
+
+@pytest.mark.parametrize("yf", [y for ys in KERNEL_FAMILIES.values() for y in ys], ids=repr)
+def test_kernel_is_bitwise_value_and_phi(yf):
+    """Where value and phi succeed the kernel writes their bits; where one
+    refuses, the kernel raises or leaves a non-finite entry in its buffer."""
+    for u in kernel_arguments(yf):
+        phi_out, value_out = np.full_like(u, -1.0), np.full_like(u, -1.0)
+        value, phi = outcome(yf.value, u), outcome(yf.phi, u)
+        try:
+            yf._value_and_phi_into(u, phi_out, value_out, float(np.max(u)))
+        except EvaluationRangeError:
+            assert value is None, u
+            continue
+        if value is None:
+            assert not np.all(np.isfinite(value_out)), u
+            continue
+        assert value_out.tobytes() == value.tobytes(), u
+        if phi is None:
+            assert not np.all(np.isfinite(phi_out)), u
+        else:
+            assert phi_out.tobytes() == phi.tobytes(), u
 
 
 # ---------------------------------------------------------------------------
