@@ -224,6 +224,15 @@ def counted_norm(monkeypatch, x, yf):
 
 
 @pytest.mark.parametrize("yf", NORM_FAMILIES.values(), ids=NORM_FAMILIES.keys())
+def test_norm_agrees_with_bisection_and_is_feasible_and_tight(yf):
+    for x in norm_battery():
+        a = luxemburg_norm(x, yf)
+        assert a == pytest.approx(bisection_norm(x, yf), rel=2 * NORM_TOL)
+        assert mean_phi(x, yf, a) <= 1.0
+        assert mean_phi(x, yf, a * (1.0 - 2 * NORM_TOL)) > 1.0
+
+
+@pytest.mark.parametrize("yf", NORM_FAMILIES.values(), ids=NORM_FAMILIES.keys())
 def test_norm_evaluation_budget(monkeypatch, yf):
     """The power closed form needs one check pass plus at most three nudges.
     Every other family evaluates each solver point once, through the fused
