@@ -262,11 +262,6 @@ class DiscreteUniform(ArraySpec, ParametricLaw):
     def n(self) -> int:
         return int(self.values.size)
 
-    def cdf(self, x):
-        """F(x) = fraction of values <= x (right-continuous)."""
-        out = np.searchsorted(self.values, np.asarray(x, dtype=float), side="right") / self.n
-        return _shaped(out, x)
-
     def quantile(self, u):
         """inf{v : F(v) > u} = values[floor(u n)] for 0 <= u < 1."""
         uu = _check_u(u)

@@ -8,14 +8,15 @@ atoms. The Luxemburg norm for a Young function Phi is
 (Rao & Ren, *Theory of Orlicz Spaces*, 1991, ch. 3). For the power family
 Phi(x) = |x|**p / p the infimum has the closed form (mean |xi|**p / p)**(1/p),
 evaluated relative to the largest atom so that it cannot overflow. Every other
-family is bracketed by doubling and halving alpha, then solved by Newton's
-method on t = log alpha -> log mean Phi(|xi| e**-t), a map linear for power
-functions, with slope -mean(u phi(u)) / mean Phi(u) at u = |xi| / alpha. Each
-point costs one pass of the family's fused kernel, which writes phi(u) and
-Phi(u) into buffers made once per call. A Newton step that would leave the
-bracket is replaced by bisection, and once the steps fall below a quarter of
-the tolerance the next point is placed just past the root, which closes the
-bracket.
+family is bracketed at no cost by Jensen's inequality: with c = Phi^-1(1),
+alpha = max |xi| / c is feasible and every alpha below mean |xi| / c is not.
+Newton's method then runs from the feasible end on t = log alpha -> log mean
+Phi(|xi| e**-t), a map linear for power functions, with slope
+-mean(u phi(u)) / mean Phi(u) at u = |xi| / alpha. Each point costs one pass
+of the family's fused kernel, which writes phi(u) and Phi(u) into buffers made
+once per call. A Newton step that would leave the bracket is replaced by
+bisection, and once the steps fall below a quarter of the tolerance the next
+point is placed just past the root, which closes the bracket.
 
 Either way the returned alpha is one at which mean Phi(xi / alpha) <= 1 holds
 as ``YoungFunction.value`` computes it, and (1 - tol) alpha is infeasible. The
@@ -25,19 +26,16 @@ from it stay mathematically valid.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distortion import _densities
 from .quantiles import as_sample
-from .young import EvaluationRangeError, PowerYoung, YoungFunction
+from .young import EvaluationRangeError, YoungFunction
 
 __all__ = ["AndoProfile", "ando_profile", "luxemburg_norm", "pairing"]
-
-# Upward nudges of the power closed form when rounding leaves mean Phi just
-# above 1; each moves alpha by a few ulps.
-_CLOSED_FORM_NUDGES = 3
 
 
 def luxemburg_norm(xi, yf: YoungFunction, tol: float = 1e-10) -> float:
@@ -61,40 +59,31 @@ def luxemburg_norm(xi, yf: YoungFunction, tol: float = 1e-10) -> float:
             return math.inf
         return float(np.mean(value_u))
 
-    if isinstance(yf, PowerYoung):
-        p = yf.p
-        alpha = peak * (float(np.mean((ax / peak) ** p)) / p) ** (1.0 / p)
-        if 0.0 < alpha < math.inf:
-            for k in range(_CLOSED_FORM_NUDGES + 1):
-                if mean_phi(alpha, fused=False) <= 1.0:
-                    return alpha
-                alpha += (4 << k) * math.ulp(alpha)
+    alpha = yf._norm_closed_form(ax, peak)
+    if 0.0 < alpha < math.inf:
+        for k in range(4):  # a check, then up to three nudges of a few ulps
+            if mean_phi(alpha, fused=False) <= 1.0:
+                return alpha
+            alpha += (4 << k) * math.ulp(alpha)
 
     phi_u, value_u = np.empty_like(ax), np.empty_like(ax)  # phi(u), Phi(u) at the last point
-    # bracket: lo infeasible (mean Phi > 1), hi feasible
-    alpha, f = peak, mean_phi(peak)
-    if f > 1.0:
-        while f > 1.0:
-            lo = alpha
-            alpha *= 2.0
-            f = mean_phi(alpha)
-        hi, f_hi = alpha, f
-    else:
-        while f <= 1.0:
-            hi, f_hi = alpha, f
-            alpha /= 2.0
-            if alpha < 5e-324:
-                return hi  # subnormal peak: halving underflowed to zero
-            f = mean_phi(alpha)
-        lo = alpha
-        mean_phi(hi)  # the buffers hold lo, and Newton starts from hi
-
-    alpha, f = hi, f_hi
+    # Jensen: Phi(mean u) <= mean Phi(u) <= Phi(max u), with c = Phi^-1(1). So hi = peak / c,
+    # kept within the positive floats and nudged up while rounding leaves mean Phi above 1, is
+    # feasible (inf where the norm overflows), and lo = mean|x| / c is not; the factor 1 - tol
+    # keeps lo infeasible where all atoms are equal and Jensen is an equality.
+    c = yf.unit_level
+    hi, k = min(max(peak / c, 5e-324), sys.float_info.max), 0
+    while (f := mean_phi(hi)) > 1.0:
+        hi += (4 << k) * math.ulp(hi)
+        k += 1
+    lo = hi * float(np.mean(u)) / c * (1.0 - tol)  # nan at hi = inf: no iteration
+    alpha = hi
     while hi - lo > tol * hi:
         # Newton step in log alpha from the last point evaluated; nan bisects
         step = math.nan
         if 0.0 < f < math.inf:
-            slope = float(np.mean(np.multiply(u, phi_u, out=value_u)))
+            with np.errstate(over="ignore"):  # u phi(u) past the float range: bisect
+                slope = float(np.mean(np.multiply(u, phi_u, out=value_u)))
             if 0.0 < slope < math.inf:
                 step = f * math.log(f) / slope
         if abs(step) < 0.25 * tol:

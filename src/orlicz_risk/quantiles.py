@@ -23,7 +23,6 @@ __all__ = [
     "SampleCsvError",
     "as_sample",
     "empirical_from_sample",
-    "kolmogorov_distance",
     "load_sample_csv",
 ]
 
@@ -47,12 +46,6 @@ def as_sample(values) -> np.ndarray:
 def empirical_from_sample(xi) -> DiscreteUniform:
     """The sample measure: uniform probability on the sorted draws."""
     return DiscreteUniform(as_sample(xi))
-
-
-def kolmogorov_distance(a: DiscreteUniform, b: DiscreteUniform) -> float:
-    """sup_x |F_a(x) - F_b(x)|, exact over the merged jump set."""
-    jumps = np.unique(np.concatenate((a.values, b.values)))
-    return float(np.max(np.abs(a.cdf(jumps) - b.cdf(jumps))))
 
 
 class QuantileFunction:

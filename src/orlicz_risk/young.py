@@ -26,6 +26,7 @@ Families:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -68,9 +69,10 @@ def _checked(out: np.ndarray, label: str) -> np.ndarray:
 class YoungFunction(Spec, kind="young function"):
     """Interface shared by the Young-function families.
 
-    The Luxemburg solver's kernel ``_value_and_phi_into(u, phi_out, value_out, u_max)``
-    writes phi(u) and Phi(u) bitwise as ``phi`` and ``value`` do, for unchecked finite u >= 0
-    with max(u) == u_max; where those raise ``EvaluationRangeError`` it raises or writes non-finite.
+    Each family declares ``unit_level`` = Phi^-1(1), at which ``value`` is at most 1. The
+    Luxemburg solver's kernel ``_value_and_phi_into(u, phi_out, value_out, u_max)`` writes
+    phi(u) and Phi(u) bitwise as ``phi`` and ``value`` do, for unchecked finite u >= 0 with
+    max(u) == u_max; where those raise ``EvaluationRangeError`` it raises or writes non-finite.
     """
 
     def phi(self, x):
@@ -87,6 +89,16 @@ class YoungFunction(Spec, kind="young function"):
             phi_out[...] = self.phi(u)
         except EvaluationRangeError:
             phi_out.fill(math.nan)
+
+    def _norm_closed_form(self, ax, peak: float) -> float:
+        """Luxemburg norm of atoms ``ax`` = |xi| with maximum ``peak``; nan if no closed form."""
+        return math.nan
+
+    def _at_most_one(self, c: float) -> float:
+        """c stepped down an ulp at a time until Phi(c) <= 1 as ``value`` computes it."""
+        while self.value(c) > 1.0:
+            c = math.nextafter(c, 0.0)
+        return c
 
     def conjugate(self) -> "YoungFunction":
         """The conjugate Young function Psi."""
@@ -122,6 +134,13 @@ class PowerYoung(YoungFunction):
             out = ax**self.p / self.p
         return _shaped(_checked(out, "Phi"), x)
 
+    @functools.cached_property
+    def unit_level(self) -> float:
+        return self._at_most_one(self.p ** (1.0 / self.p))
+
+    def _norm_closed_form(self, ax, peak):
+        return peak * (float(np.mean((ax / peak) ** self.p)) / self.p) ** (1.0 / self.p)
+
     def conjugate(self) -> YoungFunction:
         if self.p == 1.0:
             raise ValueError(
@@ -134,6 +153,7 @@ class PowerYoung(YoungFunction):
 @dataclass(frozen=True)
 class ExpMinusYoung(YoungFunction):
     family = "exp_minus"
+    unit_level = 1.1461932206205825  # the root of e**u = 2 + u
 
     @staticmethod
     def _check_range(ax_max: float, label: str) -> None:
@@ -161,6 +181,7 @@ class ExpMinusYoung(YoungFunction):
 @dataclass(frozen=True)
 class LogPlusYoung(YoungFunction):
     family = "log_plus"
+    unit_level = math.e - 1.0  # Phi(e - 1) = e log e - (e - 1) = 1
 
     def phi(self, x):
         ax = np.abs(_as_finite_array(x))
@@ -228,6 +249,10 @@ class TabulatedYoung(ArraySpec, YoungFunction):
         )
         for arr in (self._xs, self._ys, self._slopes, self._cum):
             arr.setflags(write=False)
+        # Phi^-1(1), from the last knot k with Phi <= 1: Phi(x_k + d) = cum_k + y_k d + s_k d**2 / 2
+        k = int(np.searchsorted(self._cum, 1.0, side="right")) - 1
+        x, r, y, s = (float(a[k]) for a in (xs, 1.0 - self._cum, ys, self._slopes))
+        self.unit_level = self._at_most_one(x + 2.0 * r / (y + math.sqrt(y * y + 2.0 * s * r)))
 
     @property
     def grid(self) -> np.ndarray:

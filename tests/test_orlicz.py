@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -236,15 +237,16 @@ def test_norm_agrees_with_bisection_and_is_feasible_and_tight(yf):
 def test_norm_evaluation_budget(monkeypatch, yf):
     """The power closed form needs one check pass plus at most three nudges.
     Every other family evaluates each solver point once, through the fused
-    kernel, which also gives the Newton slope: 11 bracket and Newton points
-    at most on this battery, plus one re-evaluation of hi after halving."""
+    kernel, which also gives the Newton slope. The Jensen bracket costs no
+    pass, and Newton starts from its feasible end: 8 points at most on this
+    battery (exp_minus; log_plus and the tables take 6 at most)."""
     for x in norm_battery():
         _, calls = counted_norm(monkeypatch, x, yf)
         if isinstance(yf, PowerYoung):
             assert calls["value"] + calls["phi"] <= 4 and calls[KERNEL] == 0
         else:
             assert calls["value"] == calls["phi"] == 0
-            assert 0 < calls[KERNEL] <= 12
+            assert 0 < calls[KERNEL] <= 8
 
 
 @pytest.mark.parametrize("yf", NORM_FAMILIES.values(), ids=NORM_FAMILIES.keys())
@@ -352,16 +354,75 @@ def fused_battery():
     return [(x, rng.standard_normal(x.size)) for x in cases]
 
 
+def is_tight(x, yf, a, tol):
+    """(1 - 2 tol) a is infeasible, or rounds to a subnormal a's next float
+    down and that one is zero or infeasible."""
+    below = min(a * (1.0 - 2 * tol), math.nextafter(a, 0.0))
+    return below == 0.0 or mean_phi(x, yf, below) > 1.0
+
+
 @pytest.mark.parametrize("yf", NORM_FAMILIES.values(), ids=NORM_FAMILIES.keys())
 def test_fused_norm_and_pairing_are_bitwise_the_unfused_solver(yf):
-    """8 families x 67 samples x 2 tolerances: 1072 norms, bitwise equal."""
+    """8 families x 67 samples x 2 tolerances: 1072 norms. Power norms and
+    pairings are bitwise the unfused solver's, whose closed form they share.
+    The Jensen-bracketed solver takes other iterates: its norms agree with
+    the unfused solver's within 2 tol and are feasible and tight, and the
+    pairing bound is bitwise 2 norm norm of luxemburg_norm itself."""
     for x, eta in fused_battery():
         for tol in (1e-10, 1e-4):
-            norm_x = unfused_luxemburg_norm(x, yf, tol)
-            assert luxemburg_norm(x, yf, tol) == norm_x
+            norm_x = luxemburg_norm(x, yf, tol)
+            if isinstance(yf, PowerYoung):
+                assert norm_x == unfused_luxemburg_norm(x, yf, tol)
+            else:
+                assert norm_x == pytest.approx(unfused_luxemburg_norm(x, yf, tol), rel=2 * tol)
+                assert mean_phi(x, yf, norm_x) <= 1.0
+                assert is_tight(x, yf, norm_x, tol)
             if yf != PowerYoung(1.0):  # the linear case has no conjugate
-                bound = 2.0 * norm_x * unfused_luxemburg_norm(eta, yf.conjugate(), tol)
+                psi = yf.conjugate()
+                if isinstance(yf, PowerYoung):
+                    norm_eta = unfused_luxemburg_norm(eta, psi, tol)
+                else:
+                    norm_eta = luxemburg_norm(eta, psi, tol)
+                bound = 2.0 * norm_x * norm_eta
                 assert pairing(x, eta, yf, tol) == (float(np.mean(x * eta)), bound)
+
+
+# ---------------------------------------------------------------------------
+# luxemburg_norm at the edges of the Jensen bracket [mean|x| / c, peak / c],
+# c = Phi^-1(1)
+
+STEEP = TabulatedYoung([0.5, 1.0], [4.0, 8.0])  # unit level 0.5 < 1
+
+
+def bracket_edge_cases():
+    """All-equal atoms and one atom, where Jensen is an equality; a subnormal
+    peak, where mean|x| / c underflows; peaks near the float maximum, where
+    peak / c overflows for STEEP (on [1e308, 1e307] the old solver's doubling
+    overflowed to inf, but the norm is finite); and spikes with peak / mean
+    above 700, where exp's argument at the bracket's lower end is past 709."""
+    rng = np.random.default_rng(31)
+    spike = np.zeros(1000)
+    spike[0] = 1.0
+    cases = [np.full(9, 3.7), np.full(4, -2e-300), np.array([2.5]), np.array([1e300])]
+    cases += [np.array([5e-324, 0.0]), np.array([1e308]), np.array([1e308, 0.0, 0.0, 0.0])]
+    cases += [np.array([1.7e308, -1e308]), np.array([1e308, 1e307])]
+    cases += [spike, 30.0 * spike, np.concatenate((spike, 1e-3 * rng.exponential(size=3000)))]
+    cases.append(np.exp(3.0 * rng.standard_normal(50_000)))
+    return cases
+
+
+@pytest.mark.parametrize("yf", [*NORM_FAMILIES.values(), STEEP], ids=[*NORM_FAMILIES, "steep"])
+def test_bracket_edges_are_feasible_and_tight(yf):
+    for x in bracket_edge_cases():
+        for tol in (1e-10, 1e-4):
+            a = luxemburg_norm(x, yf, tol)
+            if a == math.inf:  # only where the old solver's answer is inf too, and right
+                assert unfused_luxemburg_norm(x, yf, tol) == math.inf
+                assert mean_phi(x, yf, sys.float_info.max) > 1.0
+                continue
+            assert 0.0 < a
+            assert mean_phi(x, yf, a) <= 1.0
+            assert is_tight(x, yf, a, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,31 @@ def test_kernel_check_covers_every_registered_family():
     assert KERNEL_FAMILIES.keys() == REGISTRY["young function"].keys()
 
 
+# Phi^-1(1), declared once per family for the Luxemburg solver's bracket.
+# For p = 1.15, 2 and 4.5, p ** (1 / p) rounds to a point where Phi > 1; the
+# steep table has unit level 0.5 < 1, and the last table has Phi = 1 exactly
+# at its knot 1.
+UNIT_LEVEL_FAMILIES = {
+    **KERNEL_FAMILIES,
+    "power": KERNEL_FAMILIES["power"] + [PowerYoung(p) for p in (1.15, 4.5, 1e6)],
+    "tabulated": KERNEL_FAMILIES["tabulated"] + [
+        TabulatedYoung([0.5, 1.0, 2.0, 4.0], [0.1, 0.1, 1.0, 5.0]).conjugate(),
+        TabulatedYoung([0.5, 1.0], [4.0, 8.0]),
+        TabulatedYoung([1.0, 2.0], [2.0, 3.0]),
+    ],
+}
+
+
+def test_unit_level_check_covers_every_registered_family():
+    assert UNIT_LEVEL_FAMILIES.keys() == REGISTRY["young function"].keys()
+
+
+@pytest.mark.parametrize("yf", [y for ys in UNIT_LEVEL_FAMILIES.values() for y in ys], ids=repr)
+def test_unit_level_is_the_inverse_of_phi_at_one(yf):
+    c = yf.unit_level
+    assert yf.value(c) <= 1.0 < yf.value(c * (1.0 + 1e-12))
+
+
 def kernel_arguments(yf):
     """Finite u >= 0: zero, subnormal, ordinary and large entries, the knots
     and points beyond the grid of a table, and exp's last admissible argument
