@@ -2,7 +2,8 @@
 
 Subcommands: conjugate, norm, estimate, converge, ando, brutecheck. Numbers
 are printed with 17 significant digits and all file outputs are deterministic,
-so rerunning a command reproduces its artifacts byte for byte.
+so rerunning a command reproduces its artifacts byte for byte. ``ando`` takes
+any n: it profiles the Ryff densities through their one sorted row.
 
 Exit codes: 0 success, 2 input/validation error, 3 mathematical refusal
 (analytic gate failure or divergent target integral). A refusal writes a
@@ -18,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .distortion import bruteforce_choquet, choquet_empirical, distortion_from_dict, ryff_scenarios
+from ._spec import _is_count
+from .distortion import bruteforce_choquet, choquet_empirical, distortion_from_dict
 from .harness import (
     ExperimentConfig,
     GateRefusal,
@@ -47,9 +49,14 @@ def _json_arg(text: str, what: str) -> dict:
         raise ValueError(f"malformed {what} JSON: {exc}") from None
 
 
+def _count_arg(value: int, option: str) -> int:
+    if not _is_count(value):
+        raise ValueError(f"{option} must be at least 1, got {value}")
+    return value
+
+
 def _cmd_conjugate(args) -> int:
-    if args.points < 1:
-        raise ValueError(f"--points must be at least 1, got {args.points}")
+    _count_arg(args.points, "--points")
     yf = young_from_dict(_json_arg(args.young, "young function"))
     conj = yf.conjugate()
     xs = np.linspace(args.x_min, args.x_max, args.points)
@@ -113,11 +120,14 @@ def _cmd_converge(args) -> int:
 def _cmd_ando(args) -> int:
     yf = young_from_dict(_json_arg(args.young, "young function"))
     f = distortion_from_dict(_json_arg(args.distortion, "distortion"))
-    lambdas = tuple(float(s) for s in args.lambdas.split(","))
-    selection = "exhaustive" if args.densities is None else args.densities
-    scenarios = ryff_scenarios(f, args.n, selection, seed=args.seed)
+    n = _count_arg(args.n, "--n")
+    try:
+        lambdas = tuple(float(s) for s in args.lambdas.split(","))
+    except ValueError:
+        raise ValueError(f"--lambdas must be comma-separated numbers, got {args.lambdas!r}") from None
     tol = 1e-6 if args.tol is None else args.tol
-    profile = ando_profile(scenarios.densities, yf, lambdas, tol=tol)
+    # the Ryff set's profile: every rearrangement of the row sorts to the same row
+    profile = ando_profile(n * f.increments(n), yf, lambdas, tol=tol)
     print("lambda,value")
     for lam, val in zip(profile.lambdas, profile.values):
         print(f"{_fmt(lam)},{_fmt(val)}")
@@ -127,10 +137,9 @@ def _cmd_ando(args) -> int:
 
 def _cmd_brutecheck(args) -> int:
     f = distortion_from_dict(_json_arg(args.distortion, "distortion"))
-    if args.n > 7:
+    if _count_arg(args.n, "--n") > 7:
         raise ValueError("brutecheck is limited to n <= 7")
-    if args.trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    _count_arg(args.trials, "--trials")
     gen = np.random.Generator(np.random.Philox(key=int(args.seed)))
     worst = 0.0
     for _ in range(args.trials):
@@ -180,17 +189,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="experiment config (JSON file)")
     p.set_defaults(func=_cmd_converge)
 
-    p = sub.add_parser("ando", parents=[common], help="compactness profile of Ryff densities")
+    p = sub.add_parser("ando", parents=[common], help="Ryff densities' compactness profile, any n")
     p.add_argument("--young", required=True, help="young function spec (JSON)")
     p.add_argument("--distortion", required=True, help="distortion spec (JSON)")
     p.add_argument("--n", type=int, default=4, help="atom count")
-    p.add_argument("--lambdas", default="1,10,100,1000,10000")
-    p.add_argument(
-        "--densities",
-        type=int,
-        default=None,
-        help="random rearrangement count (default: exhaustive, n <= 8)",
-    )
+    p.add_argument("--lambdas", default="1,10,100,1000,10000", help="comma-separated schedule")
     p.set_defaults(func=_cmd_ando)
 
     p = sub.add_parser("brutecheck", parents=[common], help="estimator vs permutation brute force")

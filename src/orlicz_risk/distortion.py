@@ -16,8 +16,8 @@ telescope to one. The dual description is the scenario set
     S = {h >= 0 : mean h = 1, mean(h * 1_A) >= f(P[A]) for all events A},
 
 whose extreme points are the rearrangements of f' (finite Ryff picture).
-``core_membership`` tests S by Hardy-Littlewood-Polya majorization and
-``convex_dominance`` by stop-loss maps, both for any n; only
+``core_membership`` and the default ``convex_dominance`` test its order,
+Hardy-Littlewood-Polya majorization, by one kernel for any n; only
 ``bruteforce_choquet`` (n! permutations) and exhaustive ``ryff_scenarios``
 enumerate, and they are capped at n <= 8. Both index one numpy array of the
 n! permutations in lexicographic order; the Ryff set keeps each distinct row's
@@ -307,6 +307,8 @@ def ryff_scenarios(f: DistortionFunction, n: int, selection="exhaustive", seed: 
     permutations.
     """
     base = n * f.increments(n)  # which refuses an n that is not a positive integer
+    if not _is_count(seed, least=0):
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     if selection == "exhaustive":
         if n > 8:
             raise ValueError("exhaustive enumeration is limited to n <= 8")
@@ -335,6 +337,14 @@ def rho_finite_scenario(xi, scenarios: ScenarioSet) -> float:
     return float(np.max(scenarios.densities @ x) / x.size)
 
 
+def _prefix_and_levels(hv: np.ndarray, f: DistortionFunction) -> tuple[np.ndarray, np.ndarray]:
+    """cumsum(sort(h))[k-1] / n, the mean mass of the k smallest atoms, and f(k/n) with f(1) = 1."""
+    n = hv.size
+    levels = np.asarray(f.value(np.arange(1, n + 1) / n), dtype=float)
+    levels[-1] = 1.0
+    return np.cumsum(np.sort(hv)) / n, levels
+
+
 def core_membership(h, f: DistortionFunction, tol: float = 1e-12) -> bool:
     """Check that h lies in the scenario set of f.
 
@@ -344,34 +354,31 @@ def core_membership(h, f: DistortionFunction, tol: float = 1e-12) -> bool:
     f(k/n) - tol for k = 1..n, with f(1) = 1 literally.
     """
     hv = as_sample(h)
-    n = hv.size
     if abs(float(np.mean(hv)) - 1.0) > tol:
         return False
-    fvals = np.asarray(f.value(np.arange(1, n + 1) / n), dtype=float)
-    fvals[-1] = 1.0
-    return bool(np.all(np.cumsum(np.sort(hv)) / n >= fvals - tol))
+    prefix, levels = _prefix_and_levels(hv, f)
+    return bool(np.all(prefix >= levels - tol))
 
 
 def convex_dominance(h, f: DistortionFunction, betas=None, tol: float = 1e-12) -> bool:
     """Check mean beta(h) <= mean beta(n * increments) for convex test maps.
 
-    The default family is the stop-loss maps x -> max(0, x - t) over the
-    union of the support points of both sides, plus x -> x**2; for discrete
-    laws with equal means this family characterizes the convex order.
+    The default family is the stop-loss maps x -> max(0, x - t), all t, which
+    for equal means characterizes the convex order. They hold within ``tol``
+    iff each top-k sum of h over n is at most 1 - f((n-k)/n) + tol, that is,
+    with e = mean(h) - 1: e <= tol and cumsum(sort(h))[k-1] / n - f(k/n) >=
+    e - tol for all k, ``core_membership``'s majorization shifted by e.
     """
     hv = as_sample(h)
     if np.any(hv < 0.0):
         raise ValueError("h must be nonnegative")
     if abs(float(np.mean(hv)) - 1.0) > 1e-9:
         raise ValueError("h must have mean 1 within 1e-9")
-    ref = hv.size * f.increments(hv.size)
     if betas is None:
-        for t in np.unique(np.concatenate((hv, ref))):
-            lhs = float(np.mean(np.maximum(hv - t, 0.0)))
-            rhs = float(np.mean(np.maximum(ref - t, 0.0)))
-            if lhs > rhs + tol:
-                return False
-        return float(np.mean(hv**2)) <= float(np.mean(ref**2)) + tol
+        prefix, levels = _prefix_and_levels(hv, f)
+        excess = prefix[-1] - 1.0
+        return bool(excess <= tol and np.all(prefix - levels >= excess - tol))
+    ref = hv.size * f.increments(hv.size)
     for beta in betas:
         if float(np.mean(beta(hv))) > float(np.mean(beta(ref))) + tol:
             return False

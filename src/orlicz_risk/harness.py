@@ -26,12 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._spec import _expect_keys, _is_count, _json_number
-from .distortion import (
-    DistortionFunction,
-    choquet_empirical,
-    choquet_quadrature,
-    distortion_from_dict,
-)
+from .distortion import DistortionFunction, choquet_quadrature, distortion_from_dict
 from .laws import (
     L_PSI,
     M_PSI,
@@ -214,29 +209,15 @@ def run_convergence(
     mode: str = "m-psi",
     young: YoungFunction | None = None,
     rel_tol: float = 1e-8,
-    fresh: bool = False,
 ) -> ConvergenceTrace:
-    """Estimate the Choquet risk on nested prefixes of one sample stream.
-
-    ``fresh=True`` draws an independent sample per schedule point instead
-    (derived substreams of the same seed), for variance studies; the default
-    nested mode is what the almost-sure statement is about.
-    """
+    """Estimate the Choquet risk on nested prefixes of one sample stream, the
+    setting of the almost-sure statement."""
     young = PowerYoung(2.0) if young is None else young
     sched = _check_schedule(schedule)
     check_gate(law, f, young, mode)
     ref = reference_value(law, f, rel_tol=rel_tol)
-    estimates = []
-    if fresh:
-        children = np.random.SeedSequence(int(seed)).spawn(len(sched))
-        for child, N in zip(children, sched):
-            gen = np.random.Generator(np.random.Philox(child))
-            draws = law.quantile(gen.random(N))
-            estimates.append(choquet_empirical(draws, f))
-    else:
-        draws = sample(law, sched[-1], seed)
-        for N in sched:
-            estimates.append(float(np.dot(np.sort(draws[:N]), f.increments(N))))
+    draws = sample(law, sched[-1], seed)
+    estimates = [float(np.dot(np.sort(draws[:N]), f.increments(N))) for N in sched]
     errors = tuple(abs(e - ref) for e in estimates)
     return ConvergenceTrace(
         schedule=sched,

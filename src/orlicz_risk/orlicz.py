@@ -146,8 +146,11 @@ def ando_profile(
     """
     dens = _densities(densities, mean_tol)
     lams = np.asarray(lambdas, dtype=float)
-    if lams.ndim != 1 or lams.size == 0 or lams[0] <= 0.0 or np.any(np.diff(lams) <= 0.0):
-        raise ValueError("lambdas must be positive and strictly increasing")
+    ok = lams.ndim == 1 and lams.size > 0 and np.all(np.isfinite(lams)) and lams[0] > 0.0
+    if not (ok and np.all(np.diff(lams) > 0.0)):
+        raise ValueError(f"lambdas must be finite, positive and strictly increasing, got {lambdas!r}")
+    if not (0.0 < tol < math.inf):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     rows = np.sort(dens, axis=1)
     rows = rows[np.concatenate(([True], np.any(rows[1:] != rows[:-1], axis=1)))]
     values = np.empty(lams.size)

@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 
 from orlicz_risk.cli import main
-from orlicz_risk import ExpectedShortfall, PowerYoung, choquet_empirical, luxemburg_norm
+from orlicz_risk import (
+    ExpectedShortfall,
+    PowerYoung,
+    ando_profile,
+    choquet_empirical,
+    distortion_from_dict,
+    luxemburg_norm,
+    ryff_scenarios,
+    young_from_dict,
+)
 
 P2 = json.dumps({"family": "power", "p": 2.0})
 ES50 = json.dumps({"family": "es", "alpha": 0.5})
@@ -360,24 +369,78 @@ def test_ando_short_lambda_grid_does_not_converge(capsys):
     assert out.strip().splitlines()[-1] == "converged,false"
 
 
-def test_ando_random_selection_is_seeded(capsys):
-    argv = [
-        "ando",
-        "--young",
-        P2,
-        "--distortion",
-        ES50,
-        "--n",
-        "12",
-        "--densities",
-        "20",
-        "--seed",
-        "5",
-    ]
+def test_ando_rerun_is_byte_identical(capsys):
+    argv = ["ando", "--young", P2, "--distortion", ES50, "--n", "12", "--seed", "5"]
     code, out1, _ = run(capsys, *argv)
     assert code == 0
     code, out2, _ = run(capsys, *argv)
     assert out2 == out1
+
+
+ANDO_DISTORTIONS = [
+    {"family": "power", "gamma": 1.0},
+    {"family": "es", "alpha": 0.25},
+    {"family": "es", "alpha": 0.5},
+    {"family": "power", "gamma": 2.0},
+    {"family": "power", "gamma": 3.5},
+    {"family": "piecewise", "knots": [[0.0, 0.0], [0.5, 0.25], [0.75, 0.5], [1.0, 1.0]]},
+    {"family": "power", "gamma": 1.0000000000000002},  # increments round distinct and unsorted
+]
+
+
+@pytest.mark.parametrize(
+    "dist", ANDO_DISTORTIONS, ids=["identity", "es0.25", "es0.5", "power2", "power3.5", "piecewise", "power1+ulp"]
+)
+def test_ando_prints_the_profile_of_the_ryff_set(capsys, dist):
+    f = distortion_from_dict(dist)
+    lambdas = (0.5, 1.0, 10.0, 1000.0)
+    for young in [{"family": "power", "p": 3.0}, {"family": "exp_minus"}]:
+        yf = young_from_dict(young)
+        for n in range(1, 9):
+            code, out, err = run(
+                capsys, "ando", "--young", json.dumps(young), "--distortion", json.dumps(dist),
+                "--n", str(n), "--lambdas", "0.5,1,10,1000",
+            )
+            assert code == 0 and err == ""
+            for selection, seed in [("exhaustive", 0), (3, n), (20, n)]:
+                dens = ryff_scenarios(f, n, selection, seed=seed).densities
+                prof = ando_profile(dens, yf, lambdas)
+                want = "lambda,value\n" + "".join(
+                    f"{lam:.17g},{val:.17g}\n" for lam, val in zip(prof.lambdas, prof.values)
+                )
+                assert out == want + f"converged,{str(prof.converged).lower()}\n", (young, n, selection)
+
+
+def test_ando_takes_any_n(capsys):
+    code, out, _ = run(capsys, "ando", "--young", P2, "--distortion", ES50, "--n", "1000")
+    assert code == 0
+    assert out.splitlines()[0] == "lambda,value" and len(out.splitlines()) == 7
+
+
+def test_ando_has_no_densities_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ando", "--young", P2, "--distortion", ES50, "--densities", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --densities 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--lambdas", "1,inf"], "lambdas must be finite, positive and strictly increasing, got (1.0, inf)"),
+        (["--lambdas", "nan"], "lambdas must be finite, positive and strictly increasing, got (nan,)"),
+        (["--lambdas", "1,,2"], "--lambdas must be comma-separated numbers, got '1,,2'"),
+        (["--lambdas", "10,1"], "lambdas must be finite, positive and strictly increasing, got (10.0, 1.0)"),
+        (["--tol", "-1"], "tol must be positive and finite, got -1.0"),
+        (["--n", "0"], "--n must be at least 1, got 0"),
+        (["--n", "-2"], "--n must be at least 1, got -2"),
+    ],
+)
+def test_ando_bad_input_exits_2_naming_the_argument(capsys, extra, message):
+    code, out, err = run(capsys, "ando", "--young", P2, "--distortion", ES50, *extra)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +459,14 @@ def test_brutecheck_rejects_large_n(capsys):
     code, _, err = run(capsys, "brutecheck", "--n", "8", "--distortion", ES50)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_brutecheck_non_positive_n_exits_2(capsys, n):
+    code, out, err = run(capsys, "brutecheck", "--n", n, "--distortion", ES50)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --n must be at least 1, got {n}\n"
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

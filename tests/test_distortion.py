@@ -300,6 +300,17 @@ def test_ryff_refuses_bools_non_integers_and_strings():
     assert np.array_equal(f.increments(np.int64(4)), f.increments(4))
 
 
+def test_ryff_refuses_a_bad_seed():
+    for selection in ["exhaustive", 5]:
+        for bad in [True, False, 1.5, 3.0, -1, "3", None]:
+            with pytest.raises(ValueError, match=r"^seed must be a nonnegative integer, got "):
+                ryff_scenarios(IDENTITY, 3, selection=selection, seed=bad)
+    f = PowerDistortion(2.0)
+    a = ryff_scenarios(f, 6, selection=5, seed=np.uint8(3))
+    assert np.array_equal(a.densities, ryff_scenarios(f, 6, selection=5, seed=3).densities)
+    assert ryff_scenarios(f, 6, selection=5, seed=0).densities.shape[1] == 6
+
+
 def test_permutation_index_is_the_lexicographic_enumeration():
     for n in range(1, 9):
         idx = _permutation_index(n)
@@ -466,6 +477,61 @@ def test_averaging_toward_the_mean_stays_dominated():
     for lam in [0.0, 0.3, 0.7, 1.0]:
         mixed = lam * h + (1 - lam) * np.ones(4)
         assert convex_dominance(mixed, f)
+
+
+def _stop_loss_oracle(h, f, tol):
+    """The stop-loss family as a loop, the reference for ``convex_dominance``: mean max(0, x - t)
+    at every support point t of both sides, plus mean x**2. Returns the verdict and the worst
+    stop-loss excess max_t mean max(0, h - t) - mean max(0, ref - t)."""
+    hv = np.asarray(h, dtype=float)
+    ref = hv.size * f.increments(hv.size)
+    ok, worst = True, -np.inf
+    for t in np.unique(np.concatenate((hv, ref))):
+        lhs = float(np.mean(np.maximum(hv - t, 0.0)))
+        rhs = float(np.mean(np.maximum(ref - t, 0.0)))
+        ok = ok and lhs <= rhs + tol
+        worst = max(worst, lhs - rhs)
+    ok = ok and float(np.mean(hv**2)) <= float(np.mean(ref**2)) + tol
+    return ok, worst
+
+
+def test_convex_dominance_agrees_with_the_stop_loss_oracle():
+    # Within tol the stop-loss maps hold iff the top-k sums do, as S_k(x) = min_t k t +
+    # n mean max(0, x - t). So a verdict may differ only in the tol band, where the oracle's
+    # worst stop-loss excess lies in [0, 2 tol]: there its x**2 check is stricter, by up
+    # to 2 tol max(h), and rounding at the edge decides.
+    tol = 1e-12
+    rng = np.random.default_rng(22)
+    verdicts, band = [], []
+    for f in FAMILIES + [IDENTITY, ExpectedShortfall(0.5)]:
+        for n in range(1, 25):
+            base = n * f.increments(n)
+            for _ in range(10):
+                h = rng.permutation(base)
+                kind = int(rng.integers(6))
+                if kind == 1:  # mixture of two rearrangements: dominated
+                    h = 0.5 * (h + rng.permutation(base))
+                elif kind in (2, 5):  # move mass between two atoms: 0.05 at most, or 1e-11
+                    i, j = rng.integers(n, size=2)
+                    step = min(rng.uniform(0.0, 0.05) if kind == 2 else 1e-11, h[j])
+                    h[i] += step
+                    h[j] -= step
+                elif kind == 3:  # a random positive density
+                    h = rng.exponential(size=n)
+                    h /= h.mean()
+                elif kind == 4:  # the mean off by up to 0.9e-9, inside the 1e-9 allowed
+                    h *= 1.0 + rng.uniform(-0.9e-9, 0.9e-9)
+                want, worst = _stop_loss_oracle(h, f, tol)
+                got = convex_dominance(h, f, tol=tol)
+                verdicts.append(got)
+                if got != want:
+                    band.append((f.label(), n, kind, got, worst))
+    assert len(verdicts) >= 1000
+    assert 0.2 < np.mean(verdicts) < 0.9
+    assert 0 < len(band) <= 0.02 * len(verdicts), band
+    for case in band:  # only the 1e-11 moves and the mean shifts reach the band
+        label, n, kind, got, worst = case
+        assert kind in (4, 5) and 0.0 <= worst <= 2 * tol, case
 
 
 # ---------------------------------------------------------------------------

@@ -210,14 +210,6 @@ def test_nested_prefixes_are_bitwise_stable_across_schedules():
     assert long.estimates[:2] == short.estimates
 
 
-def test_fresh_mode_draws_independent_samples():
-    law = Exponential(1.0)
-    nested = run_convergence(law, ES05, (500, 2000), seed=3)
-    fresh = run_convergence(law, ES05, (500, 2000), seed=3, fresh=True)
-    assert fresh.reference == nested.reference
-    assert fresh.estimates != nested.estimates
-
-
 def test_degenerate_law_estimates_exact_to_roundoff():
     tr = run_convergence(DiscreteUniform([2.5]), ES05, (10, 100), seed=1)
     assert tr.reference == 2.5

@@ -611,3 +611,16 @@ def test_profile_input_validation():
         ando_profile([[1.0, 1.0]], yf, lambdas=(10.0, 1.0))
     with pytest.raises(ValueError):
         ando_profile(np.empty((0, 2)), yf)
+
+
+@pytest.mark.parametrize("lambdas", [(1.0, math.inf), (math.nan,), (1.0, math.nan), (), [[1.0]]])
+def test_profile_refuses_lambdas_that_are_not_finite_numbers(lambdas):
+    with np.errstate(all="raise"):  # refused before any evaluation warns
+        with pytest.raises(ValueError, match=r"^lambdas must be finite, positive and strictly increasing"):
+            ando_profile([[2.0, 0.0]], PowerYoung(2.0), lambdas)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.inf, math.nan])
+def test_profile_refuses_a_tol_that_is_not_positive_and_finite(tol):
+    with pytest.raises(ValueError, match=r"^tol must be positive and finite, got "):
+        ando_profile([[2.0, 0.0]], PowerYoung(2.0), tol=tol)
