@@ -23,7 +23,31 @@ def _is_count(v, least: int = 1) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= least
 
 
+def _integer_entries(values, key: str) -> tuple[int, ...]:
+    """Entries as ints; booleans and non-integral numbers are refused."""
+    out = []
+    for i, v in enumerate(values):
+        integral = isinstance(v, (int, np.integer)) or (
+            isinstance(v, (float, np.floating)) and float(v).is_integer()
+        )
+        if isinstance(v, bool) or not integral:
+            raise ValueError(f"{key} entry {v!r} at index {i} is not an integer")
+        out.append(int(v))
+    return tuple(out)
+
+
+def _philox(seed, name: str = "seed") -> np.random.Generator:
+    """A generator on the Philox stream keyed by ``seed``, an integer in [0, 2**128)."""
+    if not _is_count(seed, least=0):
+        raise ValueError(f"{name} must be a nonnegative integer, got {seed!r}")
+    if int(seed) >= 2**128:
+        raise ValueError(f"{name} must be below 2**128, got {seed!r}")
+    return np.random.Generator(np.random.Philox(key=int(seed)))
+
+
 def _expect_keys(d: dict, required: set[str], what: str, optional: set[str] = frozenset()) -> None:
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object")
     missing = required - d.keys()
     extra = d.keys() - required - optional
     if missing:

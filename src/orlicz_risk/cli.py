@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._spec import _is_count
+from ._spec import _is_count, _philox
 from .distortion import bruteforce_choquet, choquet_empirical, distortion_from_dict
 from .harness import (
     ExperimentConfig,
@@ -57,15 +57,17 @@ def _count_arg(value: int, option: str) -> int:
 
 def _cmd_conjugate(args) -> int:
     _count_arg(args.points, "--points")
+    for option, bound in (("--x-min", args.x_min), ("--x-max", args.x_max)):
+        if not np.isfinite(bound):
+            raise ValueError(f"{option} must be finite, got {bound}")
     yf = young_from_dict(_json_arg(args.young, "young function"))
     conj = yf.conjugate()
-    xs = np.linspace(args.x_min, args.x_max, args.points)
-    print("x,phi,Phi,psi,Psi")
-    for x in xs:
-        print(
-            f"{_fmt(x)},{_fmt(yf.phi(x))},{_fmt(yf.value(x))},"
-            f"{_fmt(conj.phi(x))},{_fmt(conj.value(x))}"
-        )
+    rows = [
+        f"{_fmt(x)},{_fmt(yf.phi(x))},{_fmt(yf.value(x))},"
+        f"{_fmt(conj.phi(x))},{_fmt(conj.value(x))}"
+        for x in np.linspace(args.x_min, args.x_max, args.points)
+    ]
+    print("x,phi,Phi,psi,Psi", *rows, sep="\n")  # nothing reaches stdout if a row fails
     return EXIT_OK
 
 
@@ -140,7 +142,7 @@ def _cmd_brutecheck(args) -> int:
     if _count_arg(args.n, "--n") > 7:
         raise ValueError("brutecheck is limited to n <= 7")
     _count_arg(args.trials, "--trials")
-    gen = np.random.Generator(np.random.Philox(key=int(args.seed)))
+    gen = _philox(args.seed, "--seed")
     worst = 0.0
     for _ in range(args.trials):
         xi = gen.standard_normal(args.n)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._spec import ArraySpec, Spec, _is_count, _shaped, from_spec, spec_label
+from ._spec import ArraySpec, Spec, _is_count, _philox, _shaped, from_spec, spec_label
 from .laws import DiscreteUniform
 from .quadrature import _split_breakpoints, dyadic_unit_integral
 from .quantiles import as_sample
@@ -307,8 +307,7 @@ def ryff_scenarios(f: DistortionFunction, n: int, selection="exhaustive", seed: 
     permutations.
     """
     base = n * f.increments(n)  # which refuses an n that is not a positive integer
-    if not _is_count(seed, least=0):
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    rng = _philox(seed)
     if selection == "exhaustive":
         if n > 8:
             raise ValueError("exhaustive enumeration is limited to n <= 8")
@@ -323,7 +322,6 @@ def ryff_scenarios(f: DistortionFunction, n: int, selection="exhaustive", seed: 
     else:
         if not _is_count(selection):
             raise ValueError(f"selection must be 'exhaustive' or a count >= 1, got {selection!r}")
-        rng = np.random.Generator(np.random.Philox(key=int(seed)))
         seen = {tuple(rng.permutation(base).tolist()) for _ in range(int(selection))}
         rows = sorted(seen)
     return ScenarioSet(np.asarray(rows, dtype=float))

@@ -6,7 +6,8 @@ same seed extends the shorter one sample for sample), estimates the risk
 measure on nested prefixes of one stream, and compares against a reference
 value obtained by deterministic quadrature of q * f'.
 
-Runs are gated by the analytic hypotheses:
+Runs are gated by the analytic hypotheses, read from the law alone (its
+mean, its ``psi_class`` for the Young function and its ``witness_scale``):
 
 * mode ``"m-psi"`` requires the law to lie in the closure class of Psi
   (mean Psi(k xi) finite for every k > 0);
@@ -15,35 +16,27 @@ Runs are gated by the analytic hypotheses:
   dominated by the bounded f'.
 
 A refusal always corresponds to a genuinely infinite integral (either the
-Choquet integral itself or a moment integral mean Psi(k xi) at the witness
-scale), which the quadrature divergence flag can cross-check.
+Choquet integral itself or a moment integral mean Psi(k xi) at the law's
+witness scale), which the quadrature divergence flag can cross-check.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._spec import _expect_keys, _is_count, _json_number
+from ._spec import _expect_keys, _integer_entries, _is_count, _json_number, _philox
 from .distortion import DistortionFunction, choquet_quadrature, distortion_from_dict
-from .laws import (
-    L_PSI,
-    M_PSI,
-    DiscreteUniform,
-    Exponential,
-    ParametricLaw,
-    law_from_dict,
-)
+from .laws import L_PSI, M_PSI, DiscreteUniform, ParametricLaw, law_from_dict
 from .quadrature import _split_breakpoints, dyadic_unit_integral
-from .young import PowerYoung, YoungFunction, young_from_dict
+from .young import YoungFunction, young_from_dict
 
 __all__ = [
     "ConvergenceTrace",
     "ExperimentConfig",
     "GateRefusal",
     "check_gate",
-    "psi_lln_check",
     "psi_moment_target",
     "reference_value",
     "run_convergence",
@@ -54,14 +47,15 @@ __all__ = [
 ]
 
 MODES = ("m-psi", "l-psi-ando")
+DEFAULT_YOUNG = young_from_dict({"family": "power", "p": 2.0})  # Psi = x**2 / 2, read from its spec
 
 
 class GateRefusal(Exception):
     """A run was refused because an analytic hypothesis fails.
 
-    ``reason`` is one of ``"infinite_choquet_integral"``, ``"not_m_psi"``,
-    ``"not_l_psi"`` or ``"moment_infinite"``; ``witness_k`` (when set) is a
-    scale at which mean Psi(k xi) is genuinely infinite.
+    ``reason`` is one of ``"infinite_choquet_integral"``, ``"not_m_psi"`` or
+    ``"not_l_psi"``; ``witness_k`` (when set) is the law's ``witness_scale``,
+    a scale at which mean Psi(k xi) is genuinely infinite.
     """
 
     def __init__(self, message: str, *, reason: str, witness_k: float | None = None):
@@ -78,10 +72,7 @@ def sample(law: ParametricLaw, n: int, seed: int) -> np.ndarray:
     """
     if not _is_count(n):
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not _is_count(seed, least=0):
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-    gen = np.random.Generator(np.random.Philox(key=int(seed)))
-    return law.quantile(gen.random(int(n)))
+    return law.quantile(_philox(seed).random(int(n)))
 
 
 def reference_value(
@@ -149,7 +140,7 @@ def check_gate(
             reason="infinite_choquet_integral",
         )
     cls = law.psi_class(young)
-    witness = law.rate if isinstance(law, Exponential) else 1.0
+    witness = law.witness_scale
     if mode == "m-psi" and cls != M_PSI:
         raise GateRefusal(
             f"{law.label()} fails the every-scale moment condition for "
@@ -180,19 +171,6 @@ class ConvergenceTrace:
     mode: str
 
 
-def _integer_entries(values, key: str) -> tuple[int, ...]:
-    """Entries as ints; booleans and non-integral numbers are refused."""
-    out = []
-    for i, v in enumerate(values):
-        integral = isinstance(v, (int, np.integer)) or (
-            isinstance(v, (float, np.floating)) and float(v).is_integer()
-        )
-        if isinstance(v, bool) or not integral:
-            raise ValueError(f"{key} entry {v!r} at index {i} is not an integer")
-        out.append(int(v))
-    return tuple(out)
-
-
 def _check_schedule(schedule) -> tuple[int, ...]:
     sched = _integer_entries(schedule, "schedule")
     if len(sched) == 0 or sched[0] < 1 or any(b <= a for a, b in zip(sched, sched[1:])):
@@ -212,7 +190,7 @@ def run_convergence(
 ) -> ConvergenceTrace:
     """Estimate the Choquet risk on nested prefixes of one sample stream, the
     setting of the almost-sure statement."""
-    young = PowerYoung(2.0) if young is None else young
+    young = DEFAULT_YOUNG if young is None else young
     sched = _check_schedule(schedule)
     check_gate(law, f, young, mode)
     ref = reference_value(law, f, rel_tol=rel_tol)
@@ -231,39 +209,6 @@ def run_convergence(
     )
 
 
-def psi_lln_check(
-    law: ParametricLaw,
-    yf: YoungFunction,
-    k: float,
-    schedule,
-    seed: int,
-    *,
-    rel_tol: float = 1e-8,
-) -> ConvergenceTrace:
-    """Running averages of Psi(k xi_i) against the analytic moment target."""
-    sched = _check_schedule(schedule)
-    if not law.psi_moment_finite(yf, k):
-        raise GateRefusal(
-            f"mean Psi(k xi) is infinite for {law.label()} with {yf.family} at k = {k:g}",
-            reason="moment_infinite",
-            witness_k=float(k),
-        )
-    target = psi_moment_target(law, yf, k, rel_tol=rel_tol)
-    draws = sample(law, sched[-1], seed)
-    cums = np.cumsum(yf.value(k * draws))
-    estimates = tuple(float(cums[N - 1] / N) for N in sched)
-    return ConvergenceTrace(
-        schedule=sched,
-        estimates=estimates,
-        reference=target,
-        abs_errors=tuple(abs(e - target) for e in estimates),
-        seed=int(seed),
-        law=law.label(),
-        functional=f"psi_moment({yf.family},k={k:g})",
-        mode="psi-lln",
-    )
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     law: ParametricLaw
@@ -271,7 +216,7 @@ class ExperimentConfig:
     schedule: tuple[int, ...]
     seeds: tuple[int, ...]
     mode: str
-    young: YoungFunction = field(default_factory=lambda: PowerYoung(2.0))
+    young: YoungFunction = DEFAULT_YOUNG
     tolerance: float = 1e-8
 
     def __post_init__(self):
@@ -289,11 +234,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        if not isinstance(d, dict):
-            raise ValueError("experiment config must be a JSON object")
         required = {"law", "distortion", "schedule", "seeds", "mode"}
         _expect_keys(d, required, "experiment config", optional={"young", "tolerance"})
-        young = young_from_dict(d["young"]) if "young" in d else PowerYoung(2.0)
+        young = young_from_dict(d["young"]) if "young" in d else DEFAULT_YOUNG
         return cls(
             law=law_from_dict(d["law"]),
             distortion=distortion_from_dict(d["distortion"]),

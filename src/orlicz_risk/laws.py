@@ -4,18 +4,15 @@ Each law knows its quantile q(u) on [0, 1), a numerically stable tail form
 q(1 - t) and the levels where q may kink; quadrature reads a law only
 through this protocol (``quantile``, ``tail_quantile``,
 ``quantile_breakpoints``). Each law also has an analytic classification of
-its Orlicz moments against the Young families: whether mean Psi(k * xi) is
+its Orlicz moments against a Young function: whether mean Psi(k * xi) is
 finite for every k > 0 (class ``"m_psi"``), only for some k > 0
-(``"l_psi"``), or for no k (``"none"``). The classification is hard-coded
-per (law family, growth of Psi) pair:
+(``"l_psi"``), or for no k (``"none"``). The law reads only the ``growth``
+that the Young family declares:
 
 * power growth |x|^p: finiteness is scale free, so the class is m_psi or none.
 * exp growth e^|x|: exponential laws admit k < rate only (l_psi); bounded
   laws are m_psi; polynomial and lognormal tails are never integrable (none).
 * x log x growth: finite iff mean |xi| log |xi| is, again scale free.
-
-TabulatedYoung grows quadratically by construction (linear extrapolation of
-the final derivative slope), so it classifies like power p = 2.
 
 ``law_from_dict`` reads a law's JSON spec, whose form ``_spec`` declares.
 """
@@ -27,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._spec import ArraySpec, Spec, _shaped, from_spec, spec_label
-from .young import ExpMinusYoung, LogPlusYoung, PowerYoung, TabulatedYoung, YoungFunction
+from .young import YoungFunction
 
 __all__ = [
     "DiscreteUniform",
@@ -44,20 +41,14 @@ L_PSI = "l_psi"
 NOT_IN_L_PSI = "none"
 
 
-def _growth(yf: YoungFunction) -> tuple[str, float]:
-    if isinstance(yf, PowerYoung):
-        return ("power", yf.p)
-    if isinstance(yf, ExpMinusYoung):
-        return ("exp", 0.0)
-    if isinstance(yf, LogPlusYoung):
-        return ("xlogx", 0.0)
-    if isinstance(yf, TabulatedYoung):
-        return ("power", 2.0)
-    raise TypeError(f"unsupported young function type {type(yf).__name__}")
-
-
 class ParametricLaw(Spec, kind="law"):
-    """Law given by a closed-form quantile function."""
+    """Law given by a closed-form quantile function.
+
+    ``witness_scale`` is a scale k at which mean Psi(k xi) is infinite
+    whenever ``psi_class`` is not m_psi.
+    """
+
+    witness_scale = 1.0
 
     def quantile(self, u):
         raise NotImplementedError
@@ -125,7 +116,6 @@ class Uniform(ParametricLaw):
         return 0.5 * (self.a + self.b)
 
     def psi_moment_finite(self, yf, k):
-        _growth(yf)
         return True
 
 
@@ -149,18 +139,18 @@ class Exponential(ParametricLaw):
         out = -np.log(tt) / self.rate
         return _shaped(out, t)
 
+    @property
+    def witness_scale(self) -> float:
+        return self.rate  # exp growth integrates only below the rate
+
     def mean(self) -> float:
         return 1.0 / self.rate
 
     def psi_moment_finite(self, yf, k):
-        kind, _ = _growth(yf)
-        if kind == "exp":
-            return k < self.rate
-        return True
+        return yf.growth[0] != "exp" or k < self.rate
 
     def psi_class(self, yf):
-        kind, _ = _growth(yf)
-        return L_PSI if kind == "exp" else M_PSI
+        return L_PSI if yf.growth[0] == "exp" else M_PSI
 
 
 @dataclass(frozen=True)
@@ -194,7 +184,7 @@ class Pareto(ParametricLaw):
         return self.scale * self.tail / (self.tail - 1.0)
 
     def psi_moment_finite(self, yf, k):
-        kind, p = _growth(yf)
+        kind, p = yf.growth
         if kind == "power":
             return p < self.tail
         if kind == "xlogx":
@@ -234,8 +224,7 @@ class Lognormal(ParametricLaw):
         return math.exp(self.mu + 0.5 * self.sigma**2)
 
     def psi_moment_finite(self, yf, k):
-        kind, _ = _growth(yf)
-        return kind != "exp"  # no exponential moments of any order
+        return yf.growth[0] != "exp"  # no exponential moments of any order
 
 
 class DiscreteUniform(ArraySpec, ParametricLaw):
@@ -288,7 +277,6 @@ class DiscreteUniform(ArraySpec, ParametricLaw):
         return float(np.mean(yf.value(k * self.values)))
 
     def psi_moment_finite(self, yf, k):
-        _growth(yf)
         return True
 
     def label(self) -> str:

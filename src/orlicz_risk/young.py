@@ -69,7 +69,9 @@ def _checked(out: np.ndarray, label: str) -> np.ndarray:
 class YoungFunction(Spec, kind="young function"):
     """Interface shared by the Young-function families.
 
-    Each family declares ``unit_level`` = Phi^-1(1), at which ``value`` is at most 1. The
+    Each family declares ``unit_level`` = Phi^-1(1), at which ``value`` is at most 1, and
+    ``growth``, the rate of Phi at infinity that decides which laws it integrates:
+    ``("power", p)`` for |x|**p, ``("exp", 0.0)`` for e**|x| or ``("xlogx", 0.0)``. The
     Luxemburg solver's kernel ``_value_and_phi_into(u, phi_out, value_out, u_max)`` writes
     phi(u) and Phi(u) bitwise as ``phi`` and ``value`` do, for unchecked finite u >= 0 with
     max(u) == u_max; where those raise ``EvaluationRangeError`` it raises or writes non-finite.
@@ -114,6 +116,10 @@ class PowerYoung(YoungFunction):
 
     family = "power"
 
+    @property
+    def growth(self) -> tuple[str, float]:
+        return ("power", self.p)
+
     def __post_init__(self):
         if not (math.isfinite(self.p) and self.p >= 1.0):
             raise ValueError(f"power exponent must be finite and >= 1, got {self.p}")
@@ -153,6 +159,7 @@ class PowerYoung(YoungFunction):
 @dataclass(frozen=True)
 class ExpMinusYoung(YoungFunction):
     family = "exp_minus"
+    growth = ("exp", 0.0)
     unit_level = 1.1461932206205825  # the root of e**u = 2 + u
 
     @staticmethod
@@ -181,6 +188,7 @@ class ExpMinusYoung(YoungFunction):
 @dataclass(frozen=True)
 class LogPlusYoung(YoungFunction):
     family = "log_plus"
+    growth = ("xlogx", 0.0)
     unit_level = math.e - 1.0  # Phi(e - 1) = e log e - (e - 1) = 1
 
     def phi(self, x):
@@ -214,6 +222,7 @@ class TabulatedYoung(ArraySpec, YoungFunction):
     """
 
     family = "tabulated"
+    growth = ("power", 2.0)  # the last slope extends linearly, so Phi grows like x**2
     _arrays = (("grid", "grid"), ("phi", "phi_values"))
 
     def __init__(self, grid, phi_values):

@@ -88,6 +88,15 @@ def test_conjugate_non_positive_points_exits_2(capsys, points):
     assert err == f"error: --points must be at least 1, got {points}\n"
 
 
+@pytest.mark.parametrize("option", ["--x-min", "--x-max"])
+@pytest.mark.parametrize("bound", ["nan", "inf", "-inf"])
+def test_conjugate_non_finite_bound_exits_2_before_printing(capsys, option, bound):
+    code, out, err = run(capsys, "conjugate", "--young", P2, "--points", "2", f"{option}={bound}")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {option} must be finite, got {float(bound)}\n"
+
+
 # ---------------------------------------------------------------------------
 # norm
 
@@ -475,6 +484,17 @@ def test_brutecheck_non_positive_trials_exits_2(capsys, trials):
     assert code == 2
     assert out == ""
     assert err == f"error: --trials must be at least 1, got {trials}\n"
+
+
+@pytest.mark.parametrize(
+    "seed,message",
+    [("-1", "a nonnegative integer, got -1"), (str(2**128), f"below 2**128, got {2**128}")],
+)
+def test_brutecheck_out_of_range_seed_exits_2_naming_the_option(capsys, seed, message):
+    code, out, err = run(capsys, "brutecheck", "--n", "3", "--distortion", ES50, "--seed", seed)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --seed must be {message}\n"
 
 
 def test_unknown_subcommand_exits_2():

@@ -305,6 +305,8 @@ def test_ryff_refuses_a_bad_seed():
         for bad in [True, False, 1.5, 3.0, -1, "3", None]:
             with pytest.raises(ValueError, match=r"^seed must be a nonnegative integer, got "):
                 ryff_scenarios(IDENTITY, 3, selection=selection, seed=bad)
+        with pytest.raises(ValueError, match=r"^seed must be below 2\*\*128, got "):
+            ryff_scenarios(IDENTITY, 3, selection=selection, seed=2**128)
     f = PowerDistortion(2.0)
     a = ryff_scenarios(f, 6, selection=5, seed=np.uint8(3))
     assert np.array_equal(a.densities, ryff_scenarios(f, 6, selection=5, seed=3).densities)

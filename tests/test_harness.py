@@ -20,7 +20,6 @@ from orlicz_risk import (
     Uniform,
     check_gate,
     choquet_empirical,
-    psi_lln_check,
     psi_moment_target,
     reference_value,
     run_convergence,
@@ -59,6 +58,9 @@ def test_sample_validation():
         sample(law, 10, -1)
     with pytest.raises(ValueError):
         sample(law, 2.5, 0)
+    with pytest.raises(ValueError, match=rf"^seed must be below 2\*\*128, got {2**128}$"):
+        sample(law, 10, 2**128)
+    assert sample(law, 1, 2**128 - 1).shape == (1,)
 
 
 def test_sample_refuses_bools_and_keeps_numpy_integers():
@@ -236,47 +238,6 @@ def test_schedule_validation():
 
 
 # ---------------------------------------------------------------------------
-# psi moment LLN
-
-
-def test_psi_lln_uniform_quadratic_target():
-    tr = psi_lln_check(Uniform(0.0, 1.0), PowerYoung(2.0), 1.0, (10_000, 1_000_000), seed=0)
-    assert tr.reference == pytest.approx(1.0 / 6.0, rel=1e-8)
-    assert tr.abs_errors[-1] / tr.reference < 0.01
-    assert tr.mode == "psi-lln"
-
-
-def test_psi_lln_exponential_linear_growth_target():
-    tr = psi_lln_check(Exponential(1.0), PowerYoung(1.0), 1.0, (1_000_000,), seed=4)
-    assert tr.reference == pytest.approx(1.0, rel=1e-8)
-    assert tr.abs_errors[-1] < 0.01
-
-
-def test_psi_lln_estimates_are_running_means():
-    law = Exponential(1.0)
-    yf = PowerYoung(2.0)
-    sched = (10, 50, 200)
-    tr = psi_lln_check(law, yf, 0.7, sched, seed=8)
-    draws = sample(law, 200, seed=8)
-    vals = yf.value(0.7 * draws)
-    for N, est in zip(sched, tr.estimates):
-        assert est == float(np.cumsum(vals)[N - 1] / N)
-
-
-def test_psi_lln_refuses_infinite_moment_with_witness():
-    with pytest.raises(GateRefusal) as exc:
-        psi_lln_check(Exponential(1.0), ExpMinusYoung(), 2.0, (100,), seed=0)
-    assert exc.value.reason == "moment_infinite"
-    assert exc.value.witness_k == 2.0
-
-
-def test_psi_lln_degenerate_law_exact_at_every_size():
-    tr = psi_lln_check(DiscreteUniform([3.0]), PowerYoung(2.0), 1.0, (1, 7, 64), seed=0)
-    assert tr.reference == 4.5
-    assert all(err <= 1e-12 for err in tr.abs_errors)
-
-
-# ---------------------------------------------------------------------------
 # experiment configs
 
 
@@ -328,6 +289,11 @@ def test_config_rejects_malformed(mutate):
     mutate(d)
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict(d)
+
+
+def test_config_must_be_a_json_object():
+    with pytest.raises(ValueError, match=r"^experiment config must be a JSON object$"):
+        ExperimentConfig.from_dict([BASE_CONFIG])
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from orlicz_risk import (
     PowerYoung,
     TabulatedYoung,
     Uniform,
+    YoungFunction,
     law_from_dict,
 )
 from orlicz_risk.laws import L_PSI, M_PSI, NOT_IN_L_PSI
@@ -144,6 +145,25 @@ TAB = TabulatedYoung([1.0, 2.0], [2.0, 4.0])
 )
 def test_psi_class_matrix(law, yf, expected):
     assert law.psi_class(yf) == expected
+
+
+class CubicGrowth(YoungFunction):
+    """A family outside the registry (no ``family``) that declares only its growth."""
+
+    growth = ("power", 3.0)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [Uniform(0.0, 1.0), Exponential(1.0), Pareto(3.0), Pareto(0.9), Pareto(1.5),
+     Lognormal(0.0, 1.0), DiscreteUniform([0.0, 5.0])],
+    ids=lambda l: l.label(),
+)
+def test_laws_classify_any_family_by_its_declared_growth(law):
+    """The laws of test_psi_class_matrix read a new family through ``growth`` alone."""
+    for k in (0.5, 1.0, 2.0):
+        assert law.psi_moment_finite(CubicGrowth(), k) == law.psi_moment_finite(P3, k)
+    assert law.psi_class(CubicGrowth()) == law.psi_class(P3)
 
 
 def test_exponential_single_scale_frontier():

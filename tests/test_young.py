@@ -7,15 +7,21 @@ from hypothesis import strategies as st
 
 from orlicz_risk import (
     Delta2Report,
+    DiscreteUniform,
     EvaluationRangeError,
     ExpMinusYoung,
+    Exponential,
+    Lognormal,
     LogPlusYoung,
+    Pareto,
     PowerYoung,
     TabulatedYoung,
+    Uniform,
     check_delta2,
     young_from_dict,
 )
 from orlicz_risk._spec import REGISTRY
+from orlicz_risk.laws import L_PSI, M_PSI, NOT_IN_L_PSI
 
 REL_TOL = 1e-10
 CONJ_GRID_TOL = 1e-8
@@ -310,6 +316,26 @@ UNIT_LEVEL_FAMILIES = {
 
 def test_unit_level_check_covers_every_registered_family():
     assert UNIT_LEVEL_FAMILIES.keys() == REGISTRY["young function"].keys()
+
+
+# the rate of Phi at infinity each family declares; a table's last slope extends linearly
+GROWTH = {
+    "power": lambda yf: ("power", yf.p),
+    "exp_minus": lambda yf: ("exp", 0.0),
+    "log_plus": lambda yf: ("xlogx", 0.0),
+    "tabulated": lambda yf: ("power", 2.0),
+}
+LAWS = [Uniform(0.0, 1.0), Exponential(2.0), Pareto(3.0), Lognormal(0.0, 1.0), DiscreteUniform([0.0, 5.0])]
+
+
+@pytest.mark.parametrize("yf", [y for ys in UNIT_LEVEL_FAMILIES.values() for y in ys], ids=repr)
+def test_every_family_declares_a_growth_that_every_law_reads(yf):
+    assert GROWTH.keys() == REGISTRY["young function"].keys()
+    assert {law.family for law in LAWS} == REGISTRY["law"].keys()
+    assert yf.growth == GROWTH[yf.family](yf)
+    for law in LAWS:
+        assert law.psi_moment_finite(yf, 1.0) in (True, False)
+        assert law.psi_class(yf) in (M_PSI, L_PSI, NOT_IN_L_PSI)
 
 
 @pytest.mark.parametrize("yf", [y for ys in UNIT_LEVEL_FAMILIES.values() for y in ys], ids=repr)
