@@ -4,117 +4,22 @@ Young-function conjugate pairs, Luxemburg norms on finite sample spaces,
 distortion (Choquet) risk measures with their scenario-set duals, and a
 Monte Carlo harness checking that plug-in estimates converge to the
 population value along growing iid samples.
+
+The package exports exactly the names in its modules' ``__all__`` lists.
 """
-from .distortion import (
-    DistortionFunction,
-    ExpectedShortfall,
-    PiecewiseLinearDistortion,
-    PowerDistortion,
-    ScenarioSet,
-    bruteforce_choquet,
-    choquet_empirical,
-    choquet_quadrature,
-    convex_dominance,
-    core_membership,
-    distortion_from_dict,
-    rho_finite_scenario,
-    ryff_scenarios,
-)
-from .harness import (
-    ConvergenceTrace,
-    ExperimentConfig,
-    GateRefusal,
-    check_gate,
-    psi_moment_target,
-    reference_value,
-    run_convergence,
-    run_experiment,
-    sample,
-    summarize_traces,
-    write_trace_csv,
-)
-from .laws import (
-    DiscreteUniform,
-    Exponential,
-    Lognormal,
-    ParametricLaw,
-    Pareto,
-    Uniform,
-    law_from_dict,
-)
-from .orlicz import AndoProfile, ando_profile, luxemburg_norm, pairing
-from .quadrature import QuadratureDivergenceError, dyadic_unit_integral
-from .quantiles import (
-    QuantileFunction,
-    SampleCsvError,
-    as_sample,
-    empirical_from_sample,
-    load_sample_csv,
-)
-from .young import (
-    Delta2Report,
-    EvaluationRangeError,
-    ExpMinusYoung,
-    LogPlusYoung,
-    PowerYoung,
-    TabulatedYoung,
-    YoungFunction,
-    check_delta2,
-    young_from_dict,
-)
+from . import distortion, harness, laws, orlicz, quadrature, quantiles, young
+from .distortion import *  # noqa: F403
+from .harness import *  # noqa: F403
+from .laws import *  # noqa: F403
+from .orlicz import *  # noqa: F403
+from .quadrature import *  # noqa: F403
+from .quantiles import *  # noqa: F403
+from .young import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AndoProfile",
-    "ConvergenceTrace",
-    "Delta2Report",
-    "DiscreteUniform",
-    "DistortionFunction",
-    "EvaluationRangeError",
-    "ExpMinusYoung",
-    "ExpectedShortfall",
-    "ExperimentConfig",
-    "Exponential",
-    "GateRefusal",
-    "Lognormal",
-    "LogPlusYoung",
-    "ParametricLaw",
-    "Pareto",
-    "PiecewiseLinearDistortion",
-    "PowerDistortion",
-    "PowerYoung",
-    "QuadratureDivergenceError",
-    "QuantileFunction",
-    "SampleCsvError",
-    "ScenarioSet",
-    "TabulatedYoung",
-    "Uniform",
-    "YoungFunction",
-    "ando_profile",
-    "as_sample",
-    "bruteforce_choquet",
-    "check_delta2",
-    "check_gate",
-    "choquet_empirical",
-    "choquet_quadrature",
-    "convex_dominance",
-    "core_membership",
-    "distortion_from_dict",
-    "dyadic_unit_integral",
-    "empirical_from_sample",
-    "law_from_dict",
-    "load_sample_csv",
-    "luxemburg_norm",
-    "pairing",
-    "psi_moment_target",
-    "reference_value",
-    "rho_finite_scenario",
-    "run_convergence",
-    "run_experiment",
-    "ryff_scenarios",
-    "sample",
-    "summarize_traces",
-    "write_trace_csv",
-    "young_from_dict",
-]
+__all__ = sorted(
+    name
+    for module in (distortion, harness, laws, orlicz, quadrature, quantiles, young)
+    for name in module.__all__
+)

@@ -222,10 +222,32 @@ class PiecewiseLinearDistortion(ArraySpec, DistortionFunction):
         return f"piecewise[{pairs}]"
 
 
+def _weights(f: DistortionFunction, n: int) -> tuple[int, np.ndarray]:
+    """f's increments at n, read-only, and s, the index of the first nonzero one."""
+    w = f.increments(n)
+    w.setflags(write=False)
+    return int(np.argmax(w != 0.0)), w
+
+
+def _lstat(d: np.ndarray, s: int, w: np.ndarray) -> float:
+    """np.dot(np.sort(d), w), bit for bit, given w[:s] == 0: only ranks s and up are ordered.
+
+    Selection (Hoare's FIND, introselect in ``np.partition``) puts the s smallest atoms
+    first in some order; each meets a zero weight, and the dot keeps its full length, so
+    its products are grouped as after a full sort.
+    """
+    if s == 0:
+        y = np.sort(d)
+    else:
+        y = np.partition(d, s)
+        y[s:].sort()
+    return float(np.dot(y, w))
+
+
 def choquet_empirical(xi, f: DistortionFunction) -> float:
     """L-statistic estimate: sorted sample against the distortion increments."""
-    x = np.sort(as_sample(xi))
-    return float(np.dot(x, f.increments(x.size)))
+    x = as_sample(xi)
+    return _lstat(x, *_weights(f, x.size))
 
 
 def choquet_quadrature(

@@ -21,13 +21,15 @@ witness scale), which the quadrature divergence flag can cross-check.
 """
 from __future__ import annotations
 
+import functools
 import json
+from collections.abc import Hashable
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._spec import _expect_keys, _integer_entries, _is_count, _json_number, _philox
-from .distortion import DistortionFunction, choquet_quadrature, distortion_from_dict
+from .distortion import DistortionFunction, _lstat, _weights, choquet_quadrature, distortion_from_dict
 from .laws import L_PSI, M_PSI, DiscreteUniform, ParametricLaw, law_from_dict
 from .quadrature import _split_breakpoints, dyadic_unit_integral
 from .young import YoungFunction, young_from_dict
@@ -178,6 +180,12 @@ def _check_schedule(schedule) -> tuple[int, ...]:
     return sched
 
 
+@functools.lru_cache(maxsize=4)
+def _plan(f: DistortionFunction, sched: tuple[int, ...]) -> tuple[tuple[int, np.ndarray], ...]:
+    """``_weights(f, N)`` for each N of the schedule, kept across calls and seeds."""
+    return tuple(_weights(f, N) for N in sched)
+
+
 def run_convergence(
     law: ParametricLaw,
     f: DistortionFunction,
@@ -189,13 +197,17 @@ def run_convergence(
     rel_tol: float = 1e-8,
 ) -> ConvergenceTrace:
     """Estimate the Choquet risk on nested prefixes of one sample stream, the
-    setting of the almost-sure statement."""
+    setting of the almost-sure statement. The weights of up to 4 hashable
+    (distortion, schedule) pairs stay cached, each 8 bytes per atom summed over
+    the schedule: 8.9 MB for (10^3, 10^4, 10^5, 10^6)."""
     young = DEFAULT_YOUNG if young is None else young
     sched = _check_schedule(schedule)
     check_gate(law, f, young, mode)
     ref = reference_value(law, f, rel_tol=rel_tol)
+    # built before the draws, whose 8 bytes per atom would add to its peak
+    plan = (_plan if isinstance(f, Hashable) else _plan.__wrapped__)(f, sched)
     draws = sample(law, sched[-1], seed)
-    estimates = [float(np.dot(np.sort(draws[:N]), f.increments(N))) for N in sched]
+    estimates = [_lstat(draws[:N], s, w) for N, (s, w) in zip(sched, plan)]
     errors = tuple(abs(e - ref) for e in estimates)
     return ConvergenceTrace(
         schedule=sched,

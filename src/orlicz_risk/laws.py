@@ -80,8 +80,11 @@ class ParametricLaw(Spec, kind="law"):
 
 
 def _check_u(u) -> np.ndarray:
+    """u as a float array, refused if a level is NaN or outside [0, 1). Quantiles write into one
+    ``np.empty_like(uu)``, which keeps a 0-d u off numpy scalars: those refuse ``out=`` and
+    round ``**`` apart from the array loop."""
     uu = np.asarray(u, dtype=float)
-    if np.any(uu < 0.0) or np.any(uu >= 1.0):
+    if not (uu.min(initial=0.0) >= 0.0 and uu.max(initial=0.0) < 1.0):
         raise ValueError("quantile level must satisfy 0 <= u < 1")
     return uu
 
@@ -99,7 +102,8 @@ class Uniform(ParametricLaw):
 
     def quantile(self, u):
         uu = _check_u(u)
-        out = self.a + (self.b - self.a) * uu
+        out = np.multiply(self.b - self.a, uu, out=np.empty_like(uu))
+        out += self.a
         return _shaped(out, u)
 
     def tail_quantile(self, t):
@@ -131,7 +135,10 @@ class Exponential(ParametricLaw):
 
     def quantile(self, u):
         uu = _check_u(u)
-        out = -np.log1p(-uu) / self.rate
+        out = np.negative(uu, out=np.empty_like(uu))
+        np.log1p(out, out=out)
+        np.negative(out, out=out)
+        out /= self.rate
         return _shaped(out, u)
 
     def tail_quantile(self, t):
@@ -170,7 +177,9 @@ class Pareto(ParametricLaw):
 
     def quantile(self, u):
         uu = _check_u(u)
-        out = self.scale * (1.0 - uu) ** (-1.0 / self.tail)
+        out = np.subtract(1.0, uu, out=np.empty_like(uu))
+        out **= -1.0 / self.tail  # the operator, whose special exponents the ufunc lacks
+        out *= self.scale
         return _shaped(out, u)
 
     def tail_quantile(self, t):
@@ -210,7 +219,10 @@ class Lognormal(ParametricLaw):
 
         uu = _check_u(u)
         with np.errstate(divide="ignore"):
-            out = np.exp(self.mu + self.sigma * ndtri(uu))
+            out = ndtri(uu, out=np.empty_like(uu))
+            out *= self.sigma
+            out += self.mu
+            np.exp(out, out=out)
         return _shaped(out, u)
 
     def tail_quantile(self, t):

@@ -22,7 +22,8 @@ from orlicz_risk import (
     rho_finite_scenario,
     ryff_scenarios,
 )
-from orlicz_risk.distortion import _permutation_index
+from orlicz_risk._spec import REGISTRY
+from orlicz_risk.distortion import _lstat, _permutation_index, _weights
 
 IDENTITY = PowerDistortion(1.0)
 KINKED = PiecewiseLinearDistortion([[0.0, 0.0], [0.5, 0.2], [1.0, 1.0]])
@@ -136,6 +137,50 @@ def test_increments_reject_bad_n():
 
 # ---------------------------------------------------------------------------
 # the L-statistic estimator
+
+
+def lstat_samples():
+    gen = np.random.Generator(np.random.Philox(key=3))
+    return [
+        np.array([-2.0]),
+        gen.standard_normal(2),
+        gen.standard_normal(7),
+        -np.abs(gen.standard_normal(100)),  # negative atoms only
+        np.round(3.0 * gen.standard_normal(1001)),  # ties, negatives and zeros
+        np.array([-3.0, -1.0, 0.0, 0.0]),  # the weighted atoms are zero
+        np.full(9, -0.5),
+        gen.standard_exponential(4096),
+    ]
+
+
+# ES 1 weighs every atom (s = 0); ES 1% weighs only the top one below n = 101 (s = n - 1)
+LSTAT_FAMILIES = FAMILIES + [ExpectedShortfall(1.0), ExpectedShortfall(0.01), IDENTITY]
+
+
+def test_lstat_families_cover_the_registry():
+    assert {f.family for f in LSTAT_FAMILIES} == REGISTRY["distortion"].keys()
+
+
+@pytest.mark.parametrize("f", LSTAT_FAMILIES, ids=lambda f: f.label())
+def test_selection_estimator_is_the_full_sort_bit_for_bit(f):
+    for d in lstat_samples():
+        before = d.copy()
+        s, w = _weights(f, d.size)
+        assert np.array_equal(w, f.increments(d.size)) and not w.flags.writeable
+        assert np.all(w[:s] == 0.0) and w[s] != 0.0
+        want = float(np.dot(np.sort(d), w)).hex()
+        assert _lstat(d, s, w).hex() == want
+        assert choquet_empirical(d, f).hex() == want
+        assert np.array_equal(d, before)
+
+
+def test_selection_estimator_meets_both_ends_of_the_rank_range():
+    seen = set()
+    for f in LSTAT_FAMILIES:
+        for d in lstat_samples():
+            s = _weights(f, d.size)[0]
+            seen.add("first" if s == 0 else "last" if s == d.size - 1 else "inside")
+    assert seen == {"first", "last", "inside"}
 
 
 def test_estimator_hand_values():

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from orlicz_risk import (
     ConvergenceTrace,
     DiscreteUniform,
+    DistortionFunction,
     ExpMinusYoung,
     ExperimentConfig,
     Exponential,
@@ -20,6 +22,7 @@ from orlicz_risk import (
     Uniform,
     check_gate,
     choquet_empirical,
+    distortion_from_dict,
     psi_moment_target,
     reference_value,
     run_convergence,
@@ -28,6 +31,8 @@ from orlicz_risk import (
     summarize_traces,
     write_trace_csv,
 )
+from orlicz_risk._spec import REGISTRY
+from orlicz_risk.harness import _plan
 
 ES05 = ExpectedShortfall(0.05)
 PD2 = PowerDistortion(2.0)
@@ -235,6 +240,87 @@ def test_schedule_validation():
         run_convergence(Exponential(1.0), ES05, (100, 100), seed=0)
     with pytest.raises(ValueError):
         run_convergence(Exponential(1.0), ES05, (100, 50), seed=0)
+
+
+# ---------------------------------------------------------------------------
+# the weight plan cached per (distortion, schedule)
+
+PLAN_SCHEDULE = (1, 99, 100, 101, 5000)
+
+
+@pytest.mark.parametrize(
+    "law, f",
+    [(Exponential(1.0), ES05), (Pareto(3.0), ExpectedShortfall(0.01)), (Uniform(-1.0, 2.0), PD2),
+     (Lognormal(0.0, 1.0), ExpectedShortfall(1.0))],
+    ids=lambda x: x.label(),
+)
+def test_cold_and_warm_plans_give_the_full_sort_estimates_bit_for_bit(law, f):
+    _plan.cache_clear()
+    cold = run_convergence(law, f, PLAN_SCHEDULE, seed=4, mode="l-psi-ando")
+    warm = run_convergence(law, f, PLAN_SCHEDULE, seed=4, mode="l-psi-ando")
+    assert _plan.cache_info().hits == 1
+    draws = sample(law, PLAN_SCHEDULE[-1], 4)
+    want = [float(np.dot(np.sort(draws[:N]), f.increments(N))).hex() for N in PLAN_SCHEDULE]
+    assert [e.hex() for e in cold.estimates] == want
+    assert [e.hex() for e in warm.estimates] == want
+    assert cold.reference.hex() == warm.reference.hex()
+
+
+def test_cached_weights_refuse_writes():
+    for s, w in _plan(ES05, PLAN_SCHEDULE):
+        with pytest.raises(ValueError, match="read-only"):
+            w[-1] = 0.0
+        assert w[s] > 0.0 and not w[:s].any()
+
+
+def test_an_experiment_builds_its_plan_once():
+    _plan.cache_clear()
+    config = ExperimentConfig(
+        law=Exponential(1.0), distortion=ExpectedShortfall(0.1), schedule=(10, 1000),
+        seeds=tuple(range(11)), mode="m-psi",
+    )
+    assert len(run_experiment(config)) == 11
+    assert _plan.cache_info()[:2] == (10, 1)  # hits, misses
+
+
+@dataclass
+class Squared(DistortionFunction):
+    """An unregistered family that compares by value and so has no hash."""
+
+    def value(self, t):
+        return np.asarray(t, dtype=float) ** 2
+
+    def right_derivative(self, t):
+        return 2.0 * np.asarray(t, dtype=float)
+
+
+def test_an_unhashable_distortion_runs_uncached():
+    _plan.cache_clear()
+    got = run_convergence(Uniform(0.0, 1.0), Squared(), (10, 100), seed=2)
+    want = run_convergence(Uniform(0.0, 1.0), PD2, (10, 100), seed=2)
+    assert got.estimates == want.estimates
+    assert _plan.cache_info()[:2] == (0, 1)  # hits, misses: PD2's plan only
+
+
+# one spec per registered distortion family: the plan's cache key
+DISTORTION_SPECS = [
+    {"family": "es", "alpha": 0.05},
+    {"family": "power", "gamma": 2},
+    {"family": "piecewise", "knots": [[0, 0], [0.5, 0.25], [1, 1]]},
+]
+
+
+def test_distortion_specs_cover_the_registry():
+    assert {d["family"] for d in DISTORTION_SPECS} == REGISTRY["distortion"].keys()
+
+
+@pytest.mark.parametrize("spec", DISTORTION_SPECS, ids=lambda d: d["family"])
+def test_equal_distortions_share_one_plan(spec):
+    a, b = distortion_from_dict(spec), distortion_from_dict(json.loads(json.dumps(spec)))
+    assert a is not b and a == b and hash(a) == hash(b)
+    _plan.cache_clear()
+    assert _plan(a, (10, 100)) is _plan(b, (10, 100))
+    assert _plan.cache_info()[:2] == (1, 1)
 
 
 # ---------------------------------------------------------------------------

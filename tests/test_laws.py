@@ -21,6 +21,7 @@ from orlicz_risk import (
     YoungFunction,
     law_from_dict,
 )
+from orlicz_risk._spec import REGISTRY
 from orlicz_risk.laws import L_PSI, M_PSI, NOT_IN_L_PSI
 
 US = np.array([0.001, 0.05, 0.25, 0.5, 0.75, 0.95, 0.999])
@@ -65,6 +66,44 @@ def test_quantile_domain_checks():
             law.quantile(1.0)
         with pytest.raises(ValueError):
             law.quantile(-0.1)
+
+
+# one law per registered family, and Pareto 1, whose exponent -1 has its own array loop
+EVERY_FAMILY = [
+    Uniform(-1.0, 3.0),
+    Exponential(0.7),
+    Pareto(2.2, 1.5),
+    Pareto(1.0),
+    Lognormal(0.1, 0.8),
+    DiscreteUniform([3.0, 1.0, 1.0]),
+]
+
+
+def test_every_family_has_a_quantile_case():
+    assert {law.family for law in EVERY_FAMILY} == REGISTRY["law"].keys()
+
+
+@pytest.mark.parametrize("law", EVERY_FAMILY, ids=lambda l: l.label())
+@pytest.mark.parametrize(
+    "u", [math.nan, np.array(math.nan), np.array([0.5, math.nan]), [math.nan, 0.25]], ids=repr
+)
+def test_quantile_refuses_nan(law, u):
+    with pytest.raises(ValueError, match=r"^quantile level must satisfy 0 <= u < 1$"):
+        law.quantile(u)
+
+
+@pytest.mark.parametrize("law", EVERY_FAMILY, ids=lambda l: l.label())
+def test_scalar_quantile_is_the_array_path_bit_for_bit(law):
+    us = np.concatenate(([0.5, 0.0], US, np.random.Generator(np.random.Philox(key=9)).random(200)))
+    before = us.copy()
+    arr = law.quantile(us)
+    assert np.array_equal(us, before) and not np.shares_memory(arr, us)
+    assert law.quantile(np.array([])).shape == (0,)
+    for u, want in zip(us, arr):
+        for x in (float(u), np.array(u), np.float64(u)):
+            got = law.quantile(x)
+            assert type(got) is float
+            assert got.hex() == float(want).hex(), (x, got, want)
 
 
 @pytest.mark.parametrize(
